@@ -1,0 +1,11 @@
+"""Make the program (``src/``) and the benchmark's modules importable."""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+BENCH_DIR = Path(__file__).resolve().parent
+for path in (BENCH_DIR.parent / "src", BENCH_DIR):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
