@@ -12,8 +12,8 @@ canonical shapes that stress different kernel paths — ``gcc`` (compute-bound
 single thread, the historical default), ``mcf`` (memory-bound single thread:
 the D-side probe and DRAM paths dominate), ``sync`` (PARSEC-like sync-heavy
 multithreaded: barriers, locks and the multi-core event heap dominate),
-``mcf64`` (memory-bound many-core with a shared hot region: D-side run
-commits under coherence traffic) and the many-core scale-out shapes
+``mcf64`` (memory-bound many-core with a shared hot region: the D-side
+memo under coherence traffic) and the many-core scale-out shapes
 ``sync64``/``sync256`` (64 and 256 simulated cores: the parked-barrier
 driver dominates — blocked cores leave the event heap entirely).
 :func:`run_multi_shape_suite` measures every model on every shape.
@@ -160,7 +160,7 @@ BENCH_SHAPES: Dict[str, BenchShape] = {
     "mcf64": BenchShape(
         name="mcf64",
         description="many-core memory-bound (mcf), 64 threads sharing a hot "
-        "region (D-side run commits under coherence traffic)",
+        "region (D-side memo under coherence traffic)",
         kind="manycore",
         benchmark="mcf",
         threads=64,
@@ -337,26 +337,9 @@ def run_throughput_suite(
             "total_miss_events": stats.total_miss_events,
             "events_per_instruction": stats.events_per_instruction,
             "aggregate_ipc": stats.aggregate_ipc,
-            # Parked-driver observability: heap pops and park bookkeeping of
-            # the fastest round (bit-identical across rounds, so any round's
-            # counters describe the run).
-            "events_popped": stats.driver_stats.get("events_popped", 0),
-            "cores_parked": stats.driver_stats.get("cores_parked", 0),
-            "park_cycles_skipped": stats.driver_stats.get("park_cycles_skipped", 0),
-            # Issue-queue traffic of the detailed model's event-driven back
-            # end (zero for the kernel models and the scan reference).
-            "issue_wakeups": stats.issue_wakeups,
-            "issue_scans_skipped": stats.issue_scans_skipped,
-            "ready_bucket_peak": stats.ready_bucket_peak,
-            # D-side run-commit traffic (batched same-line memory-op runs).
-            "data_runs_committed": stats.data_runs_committed,
-            "data_run_aborts": stats.data_run_aborts,
-            # Fault-injection observability (zero on fault-free shapes).
-            "faults_injected": stats.faults_injected,
-            "refetches_forced": stats.refetches_forced,
-            "dram_retries": stats.dram_retries,
-            "retry_cycles": stats.retry_cycles,
-            "runs_aborted_by_fault": stats.runs_aborted_by_fault,
+            # Host-only counters of the fastest round (bit-identical across
+            # rounds, so any round's counters describe the run).
+            **stats.host_counters(),
         }
         if profile:
             results[name]["profile_top20"] = _profile_round(
@@ -565,7 +548,6 @@ def _render_shape(workload: Mapping[str, object], fragment: Mapping[str, object]
                 float(row["aggregate_ipc"]),
                 int(row.get("events_popped", 0)),
                 int(row.get("issue_wakeups", 0)),
-                int(row.get("data_runs_committed", 0)),
                 int(row.get("faults_injected", 0)),
                 float(row["best_wall_seconds"]) * 1000.0,
                 float(speedups.get(name, 1.0)) if name != "detailed" else 1.0,
@@ -583,7 +565,6 @@ def _render_shape(workload: Mapping[str, object], fragment: Mapping[str, object]
             "IPC",
             "heap pops",
             "issue wakeups",
-            "data runs",
             "faults",
             "best ms",
             "speedup vs detailed",

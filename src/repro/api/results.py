@@ -72,7 +72,9 @@ class RunResult:
 
         The ``metrics`` block is derived (recomputed on load, never parsed
         back): it records the run's throughput trajectory — simulated KIPS
-        and miss events per instruction — next to the raw statistics.
+        and miss events per instruction — and every host-only counter
+        (:meth:`~repro.common.stats.SimulationStats.host_counters`) next to
+        the raw statistics.
         """
         return {
             "simulator": self.simulator,
@@ -83,26 +85,7 @@ class RunResult:
                 "simulated_kips": self.simulated_kips,
                 "events_per_instruction": self.events_per_instruction,
                 "aggregate_ipc": self.stats.aggregate_ipc,
-                "events_popped": self.stats.driver_stats.get("events_popped", 0),
-                "cores_parked": self.stats.driver_stats.get("cores_parked", 0),
-                "park_cycles_skipped": self.stats.driver_stats.get(
-                    "park_cycles_skipped", 0
-                ),
-                # Issue-queue traffic (detailed model's event-driven back end;
-                # zero for the scan reference and the kernel models).
-                "issue_wakeups": self.stats.issue_wakeups,
-                "issue_scans_skipped": self.stats.issue_scans_skipped,
-                "ready_bucket_peak": self.stats.ready_bucket_peak,
-                # D-side run-commit traffic (batched same-line memory-op
-                # runs; zero when the fast path is ruled out or unused).
-                "data_runs_committed": self.stats.data_runs_committed,
-                "data_run_aborts": self.stats.data_run_aborts,
-                # Fault-injection observability (all zero in fault-free runs).
-                "faults_injected": self.stats.faults_injected,
-                "refetches_forced": self.stats.refetches_forced,
-                "dram_retries": self.stats.dram_retries,
-                "retry_cycles": self.stats.retry_cycles,
-                "runs_aborted_by_fault": self.stats.runs_aborted_by_fault,
+                **self.stats.host_counters(),
             },
             "stats": self.stats.as_dict(),
         }

@@ -169,6 +169,16 @@ class SweepSpec:
     #: fault injection existed.
     faults: Optional[FaultPlan] = None
 
+    def __post_init__(self) -> None:
+        if self.warmup_instructions < 0:
+            raise ValueError(
+                f"warmup must be >= 0 instructions, got {self.warmup_instructions}"
+            )
+        if self.max_cycles is not None and self.max_cycles < 1:
+            raise ValueError(
+                f"max_cycles must be at least 1 (or unset), got {self.max_cycles}"
+            )
+
     def with_simulator(self, simulator: str, **options: object) -> "SweepSpec":
         """Copy of this spec targeting a different simulator.
 

@@ -42,7 +42,7 @@ from .metrics import (
     summarize_errors,
     system_throughput,
 )
-from .stats import CoreStats, Counter, SimulationStats, Stopwatch
+from .stats import CoreStats, SimulationStats, Stopwatch
 
 __all__ = [
     "BranchPredictorConfig",
@@ -75,7 +75,6 @@ __all__ = [
     "summarize_errors",
     "system_throughput",
     "CoreStats",
-    "Counter",
     "SimulationStats",
     "Stopwatch",
 ]

@@ -5,44 +5,43 @@ activity into a :class:`CoreStats` per simulated core plus a
 :class:`SimulationStats` aggregate.  The statistics are intentionally
 simulator-agnostic: accuracy comparisons in the experiment harness only need
 cycles, instruction counts and miss-event counts from both simulators.
+
+Host-only counters — traffic of the host-side fast paths and the fault
+injector rather than simulated behavior — are declared once, as
+:func:`host_counter` fields of :class:`CoreStats`.  Merging, flattening, the
+deterministic comparison dict, :meth:`SimulationStats.host_counters` and the
+result/bench tables built from it all derive from those declarations.
 """
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field, fields
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 __all__ = [
-    "Counter",
     "CoreStats",
+    "HOST_COUNTERS",
     "SimulationStats",
     "Stopwatch",
+    "host_counter",
 ]
 
+#: Field-metadata key holding a host-only counter's merge function.
+_HOST_MERGE = "host_merge"
 
-class Counter:
-    """A named event counter with convenience accumulation helpers."""
 
-    __slots__ = ("name", "value")
+def host_counter(merge: Callable[[int, int], int] = operator.add) -> Any:
+    """Declare a host-only :class:`CoreStats` counter (default 0).
 
-    def __init__(self, name: str, value: int = 0) -> None:
-        self.name = name
-        self.value = value
-
-    def increment(self, amount: int = 1) -> None:
-        """Add ``amount`` to the counter."""
-        self.value += amount
-
-    def reset(self) -> None:
-        """Reset the counter to zero."""
-        self.value = 0
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"Counter({self.name!r}, {self.value})"
+    Host-only counters describe host-side work — scheduler traffic, fault
+    injector bookkeeping — that differs between the fast paths and their
+    test-only references while the simulated statistics stay identical, so
+    they are excluded from :meth:`SimulationStats.deterministic_dict`.
+    ``merge`` combines two cores' values (summed unless stated otherwise).
+    """
+    return field(default=0, metadata={_HOST_MERGE: merge})
 
 
 @dataclass
@@ -80,38 +79,19 @@ class CoreStats:
     dispatch_stall_cycles: int = 0
     committed_stores: int = 0
     committed_loads: int = 0
-    # Issue-queue observability (detailed model only).  These measure
-    # host-side scheduler traffic — how many wake notifications the
-    # event-driven issue queue delivered, how many per-cycle ready scans it
-    # avoided, and the largest ready set it ever popped in one cycle — not
-    # simulated behavior, so like the driver counters they are excluded from
-    # deterministic comparisons (the scan and event-driven issue paths
-    # produce identical simulated statistics but different traffic).
-    issue_wakeups: int = 0
-    issue_scans_skipped: int = 0
-    ready_bucket_peak: int = 0
-    # D-side run-commit observability.  Host-side fast-path traffic — how
-    # many same-line memory-op runs were validated once and committed
-    # arithmetically, and how many live commits were rolled back because a
-    # remote coherence action bumped the core's epoch mid-run — not
-    # simulated behavior, so excluded from deterministic comparisons (the
-    # batched and per-access paths produce identical simulated statistics).
-    data_runs_committed: int = 0
-    data_run_aborts: int = 0
-    # Fault-injection observability (populated only when a fault plan is
-    # armed).  These count injected fault events, the re-fetches they forced,
-    # flaky-DRAM retries and the extra cycles those retries (plus degraded
-    # links) charged, and how many committed D-side runs were rolled back
-    # because a fault hit inside the run window.  They describe the injection
-    # machinery, not comparable simulated behavior — the fast and reference
-    # data paths see the same fault schedule but attribute aborts differently
-    # (the per-access path has no runs to abort) — so like the run-commit
-    # counters they are excluded from deterministic comparisons.
-    faults_injected: int = 0
-    refetches_forced: int = 0
-    dram_retries: int = 0
-    retry_cycles: int = 0
-    runs_aborted_by_fault: int = 0
+    # Issue-queue traffic (detailed model only): wake notifications the
+    # event-driven issue queue delivered, per-cycle ready scans it avoided,
+    # and the largest ready set it ever popped in one cycle.
+    issue_wakeups: int = host_counter()
+    issue_scans_skipped: int = host_counter()
+    ready_bucket_peak: int = host_counter(merge=max)
+    # Fault-injection traffic (nonzero only when a fault plan is armed):
+    # injected fault events, the re-fetches they forced, flaky-DRAM retries
+    # and the extra cycles those retries (plus degraded links) charged.
+    faults_injected: int = host_counter()
+    refetches_forced: int = host_counter()
+    dram_retries: int = host_counter()
+    retry_cycles: int = host_counter()
     # CPI-stack components (cycles attributed to each penalty class by the
     # interval model; the detailed model leaves them at zero).
     base_cycles: int = 0
@@ -167,93 +147,27 @@ class CoreStats:
         return self.l1d_misses / self.dcache_accesses
 
     def merge(self, other: "CoreStats") -> None:
-        """Accumulate another core's statistics into this one."""
-        for field_name in (
-            "instructions",
-            "cycles",
-            "icache_misses",
-            "itlb_misses",
-            "branch_lookups",
-            "branch_mispredictions",
-            "dcache_accesses",
-            "l1d_misses",
-            "dtlb_misses",
-            "long_latency_loads",
-            "serializing_instructions",
-            "overlapped_icache_accesses",
-            "overlapped_branches",
-            "overlapped_loads",
-            "sync_stall_cycles",
-            "barrier_waits",
-            "lock_acquisitions",
-            "lock_contended",
-            "dispatch_stall_cycles",
-            "committed_stores",
-            "committed_loads",
-            "issue_wakeups",
-            "issue_scans_skipped",
-            "data_runs_committed",
-            "data_run_aborts",
-            "faults_injected",
-            "refetches_forced",
-            "dram_retries",
-            "retry_cycles",
-            "runs_aborted_by_fault",
-            "base_cycles",
-            "icache_penalty_cycles",
-            "branch_penalty_cycles",
-            "long_load_penalty_cycles",
-            "serializing_penalty_cycles",
-        ):
-            setattr(self, field_name, getattr(self, field_name) + getattr(other, field_name))
-        # The peak is a high-water mark, not a flow: merge by max.
-        self.ready_bucket_peak = max(self.ready_bucket_peak, other.ready_bucket_peak)
+        """Accumulate another core's statistics into this one.
+
+        Every counter is summed except host counters declared with another
+        merge (``ready_bucket_peak`` is a high-water mark, merged by max).
+        """
+        for counter in fields(self):
+            name = counter.name
+            if name == "core_id":
+                continue
+            combine = counter.metadata.get(_HOST_MERGE, operator.add)
+            setattr(self, name, combine(getattr(self, name), getattr(other, name)))
 
     def as_dict(self) -> Dict[str, float]:
         """Return a flat dictionary of all counters plus derived rates."""
-        result = {
-            "core_id": self.core_id,
-            "instructions": self.instructions,
-            "cycles": self.cycles,
-            "ipc": self.ipc,
-            "cpi": self.cpi,
-            "icache_misses": self.icache_misses,
-            "itlb_misses": self.itlb_misses,
-            "branch_lookups": self.branch_lookups,
-            "branch_mispredictions": self.branch_mispredictions,
-            "branch_misprediction_rate": self.branch_misprediction_rate,
-            "dcache_accesses": self.dcache_accesses,
-            "l1d_misses": self.l1d_misses,
-            "l1d_miss_rate": self.l1d_miss_rate,
-            "dtlb_misses": self.dtlb_misses,
-            "long_latency_loads": self.long_latency_loads,
-            "serializing_instructions": self.serializing_instructions,
-            "overlapped_icache_accesses": self.overlapped_icache_accesses,
-            "overlapped_branches": self.overlapped_branches,
-            "overlapped_loads": self.overlapped_loads,
-            "sync_stall_cycles": self.sync_stall_cycles,
-            "barrier_waits": self.barrier_waits,
-            "lock_acquisitions": self.lock_acquisitions,
-            "lock_contended": self.lock_contended,
-            "dispatch_stall_cycles": self.dispatch_stall_cycles,
-            "committed_stores": self.committed_stores,
-            "committed_loads": self.committed_loads,
-            "issue_wakeups": self.issue_wakeups,
-            "issue_scans_skipped": self.issue_scans_skipped,
-            "ready_bucket_peak": self.ready_bucket_peak,
-            "data_runs_committed": self.data_runs_committed,
-            "data_run_aborts": self.data_run_aborts,
-            "faults_injected": self.faults_injected,
-            "refetches_forced": self.refetches_forced,
-            "dram_retries": self.dram_retries,
-            "retry_cycles": self.retry_cycles,
-            "runs_aborted_by_fault": self.runs_aborted_by_fault,
-            "base_cycles": self.base_cycles,
-            "icache_penalty_cycles": self.icache_penalty_cycles,
-            "branch_penalty_cycles": self.branch_penalty_cycles,
-            "long_load_penalty_cycles": self.long_load_penalty_cycles,
-            "serializing_penalty_cycles": self.serializing_penalty_cycles,
+        result: Dict[str, float] = {
+            counter.name: getattr(self, counter.name) for counter in fields(self)
         }
+        result["ipc"] = self.ipc
+        result["cpi"] = self.cpi
+        result["branch_misprediction_rate"] = self.branch_misprediction_rate
+        result["l1d_miss_rate"] = self.l1d_miss_rate
         return result
 
     @classmethod
@@ -283,6 +197,15 @@ class CoreStats:
             "serializing": self.serializing_penalty_cycles / self.instructions,
             "sync": self.sync_stall_cycles / self.instructions,
         }
+
+
+#: Name → merge function of every :func:`host_counter` field of
+#: :class:`CoreStats`, in declaration order.
+HOST_COUNTERS: Dict[str, Callable[[int, int], int]] = {
+    counter.name: counter.metadata[_HOST_MERGE]
+    for counter in fields(CoreStats)
+    if _HOST_MERGE in counter.metadata
+}
 
 
 @dataclass
@@ -361,69 +284,22 @@ class SimulationStats:
             return 0.0
         return self.total_miss_events / instructions
 
-    @property
-    def issue_wakeups(self) -> int:
-        """Total issue-queue wake notifications across all cores.
+    def host_counters(self) -> Dict[str, int]:
+        """Every host-only counter of the run, merged across cores.
 
-        Nonzero only for the detailed model's event-driven issue queue;
-        host-side observability (excluded from :meth:`deterministic_dict`).
+        Each :data:`HOST_COUNTERS` entry is combined over the cores with its
+        declared merge (summed, or max for high-water marks), and the event
+        driver's counters (:attr:`driver_stats`) are folded in alongside.
+        None of these take part in :meth:`deterministic_dict`.
         """
-        return sum(core.issue_wakeups for core in self.cores)
-
-    @property
-    def issue_scans_skipped(self) -> int:
-        """Total issue-stage cycles skipped without scanning, across cores."""
-        return sum(core.issue_scans_skipped for core in self.cores)
-
-    @property
-    def ready_bucket_peak(self) -> int:
-        """Largest same-cycle ready set any core's issue stage ever merged."""
-        return max(
-            (core.ready_bucket_peak for core in self.cores), default=0
-        )
-
-    @property
-    def data_runs_committed(self) -> int:
-        """Total D-side same-line runs committed arithmetically, all cores.
-
-        Host-side fast-path observability (excluded from
-        :meth:`deterministic_dict`).
-        """
-        return sum(core.data_runs_committed for core in self.cores)
-
-    @property
-    def data_run_aborts(self) -> int:
-        """Total live run commits rolled back by a mid-run epoch bump."""
-        return sum(core.data_run_aborts for core in self.cores)
-
-    @property
-    def faults_injected(self) -> int:
-        """Total fault events applied by the injector, all cores.
-
-        Nonzero only when a fault plan was armed; host-side observability
-        (excluded from :meth:`deterministic_dict`).
-        """
-        return sum(core.faults_injected for core in self.cores)
-
-    @property
-    def refetches_forced(self) -> int:
-        """Total cache lines dropped/corrupted that forced a re-fetch."""
-        return sum(core.refetches_forced for core in self.cores)
-
-    @property
-    def dram_retries(self) -> int:
-        """Total flaky-DRAM retry rounds charged across all cores."""
-        return sum(core.dram_retries for core in self.cores)
-
-    @property
-    def retry_cycles(self) -> int:
-        """Total extra cycles charged by DRAM retries and degraded links."""
-        return sum(core.retry_cycles for core in self.cores)
-
-    @property
-    def runs_aborted_by_fault(self) -> int:
-        """Total committed D-side runs rolled back by an injected fault."""
-        return sum(core.runs_aborted_by_fault for core in self.cores)
+        totals: Dict[str, int] = {}
+        for name, combine in HOST_COUNTERS.items():
+            total = 0
+            for core in self.cores:
+                total = combine(total, getattr(core, name))
+            totals[name] = total
+        totals.update(self.driver_stats)
+        return totals
 
     def as_dict(self) -> Dict[str, object]:
         """Flatten the run's statistics for reporting."""
@@ -440,38 +316,22 @@ class SimulationStats:
         }
 
     def deterministic_dict(self) -> Dict[str, object]:
-        """:meth:`as_dict` without host-dependent timing or driver traffic.
+        """:meth:`as_dict` without host-dependent timing or host counters.
 
         Wall-clock time varies run to run even for identical simulations,
-        and the driver counters measure host-side heap traffic (which the
-        parked and spin drivers trade off differently while producing
-        identical simulated results), so reproducibility checks (e.g.
-        parallel-versus-sequential sweeps, the golden corpus, the
-        spin/parked equivalence rig) compare this dictionary instead of
-        :meth:`as_dict`.
+        and the driver and :data:`HOST_COUNTERS` counters measure host-side
+        traffic (which the fast paths and their references trade off
+        differently while producing identical simulated results), so
+        reproducibility checks (e.g. parallel-versus-sequential sweeps, the
+        golden corpus, the fast-versus-reference rigs) compare this
+        dictionary instead of :meth:`as_dict`.
         """
         result = self.as_dict()
         result.pop("wall_clock_seconds", None)
         result.pop("driver", None)
-        # Per-core issue-queue traffic counters are host-side observability,
-        # not simulated behavior (scan vs event-driven issue differ here).
         for core in result["cores"]:
-            core.pop("issue_wakeups", None)
-            core.pop("issue_scans_skipped", None)
-            core.pop("ready_bucket_peak", None)
-            # Likewise D-side run-commit traffic: the batched and per-access
-            # data paths produce identical simulated statistics but
-            # different commit/abort counts.
-            core.pop("data_runs_committed", None)
-            core.pop("data_run_aborts", None)
-            # Fault-injection observability: the fast and reference data
-            # paths price the same fault schedule identically but attribute
-            # aborts (and injector bookkeeping) differently.
-            core.pop("faults_injected", None)
-            core.pop("refetches_forced", None)
-            core.pop("dram_retries", None)
-            core.pop("retry_cycles", None)
-            core.pop("runs_aborted_by_fault", None)
+            for name in HOST_COUNTERS:
+                core.pop(name, None)
         return result
 
     @classmethod

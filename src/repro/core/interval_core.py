@@ -65,7 +65,7 @@ from typing import List, Optional, Set
 from ..branch import BranchPredictor
 from ..common.config import MachineConfig
 from ..common.stats import CoreStats
-from ..memory.hierarchy import MemoryHierarchy, _count_flagged
+from ..memory.hierarchy import MemoryHierarchy
 from ..multicore.sync import SynchronizationManager
 from ..trace.columnar import KLASS_PLAIN, TraceBatch
 from ..trace.stream import TraceCursor
@@ -227,16 +227,6 @@ class IntervalCore(ColumnarKernelCore):
         fetch_block = hierarchy.access_block
         data_probe = hierarchy.data_probe
         predictor_access = self.predictor.access
-        # D-side run-commit state: the columns are None when the hierarchy
-        # rules the fast path out; d_limit mirrors self._data_run_limit (all
-        # mutations write through, so early returns need no store-back).
-        data_runs = self._data_runs
-        mem_prefix = self._mem_prefix
-        store_prefix = self._store_prefix
-        data_run_commit = hierarchy.data_run_commit
-        epochs = hierarchy._l1d_epoch
-        fault_epochs = hierarchy._l1d_fault_epoch
-        d_limit = self._data_run_limit
 
         use_ow = self.use_old_window
         model_overlap = self.model_overlap
@@ -465,112 +455,50 @@ class IntervalCore(ColumnarKernelCore):
                     # -- loads and stores (lines 31–53) --
                     is_store = k == _STORE
                     if is_store or not fb & _F_DOVR:
-                        # D-side run fast path: inside a committed same-line
-                        # run every memory op is a pre-validated memo hit;
-                        # the only live check is that no remote coherence
-                        # action bumped this core's epoch since the commit
-                        # (possible only across simulate_interval calls —
-                        # see data_run_commit's soundness argument).
-                        in_run = False
-                        if head < d_limit:
-                            if epochs[core_id] == self._data_run_epoch:
-                                in_run = True
-                            else:
-                                # Epoch bumped mid-run: roll back the
-                                # unconsumed pre-committed hits and replay
-                                # the rest through the per-access probe.
-                                hierarchy.data_run_abort(
-                                    core_id, self._data_run_left
-                                )
-                                stats.data_run_aborts += 1
-                                if (
-                                    fault_epochs[core_id]
-                                    != self._data_run_fault_epoch
-                                ):
-                                    stats.runs_aborted_by_fault += 1
-                                d_limit = self._data_run_limit = 0
-                        elif data_runs is not None:
-                            end = data_runs[head]
-                            if end > head + 1:
-                                # Overlap-flagged loads inside the run skip
-                                # their probe in the reference; the flags
-                                # are frozen while the run is active (an
-                                # in-run load is never long-latency, so the
-                                # scan cannot fire), making the commit-time
-                                # count exact.
-                                n_acc = (
-                                    mem_prefix[end] - mem_prefix[head]
-                                ) - _count_flagged(ovr, head, end, _F_DOVR)
-                                if n_acc >= 2 and data_run_commit(
-                                    core_id,
-                                    addrs[head],
-                                    store_prefix[end] > store_prefix[head],
-                                    n_acc,
-                                ):
-                                    stats.data_runs_committed += 1
-                                    d_limit = self._data_run_limit = end
-                                    self._data_run_epoch = epochs[core_id]
-                                    self._data_run_fault_epoch = fault_epochs[
-                                        core_id
-                                    ]
-                                    self._data_run_left = n_acc
-                                    in_run = True
-                        if in_run:
-                            # Pre-committed memo hit: no penalty, no event.
-                            stats.dcache_accesses += 1
+                        result = data_probe(core_id, addrs[head], is_store, sim_time)
+                        stats.dcache_accesses += 1
+                        if result is None:
+                            # L1/TLB hit: no penalty, no miss event.
                             if is_store:
                                 stats.committed_stores += 1
                             else:
                                 stats.committed_loads += 1
-                            self._data_run_left -= 1
                         else:
-                            result = data_probe(
-                                core_id, addrs[head], is_store, sim_time
-                            )
-                            stats.dcache_accesses += 1
-                            if result is None:
-                                # L1/TLB hit: no penalty, no miss event.
-                                if is_store:
-                                    stats.committed_stores += 1
-                                else:
-                                    stats.committed_loads += 1
+                            if result.l1_miss:
+                                stats.l1d_misses += 1
+                            if result.tlb_miss:
+                                stats.dtlb_misses += 1
+                            if is_store:
+                                stats.committed_stores += 1
+                                # Stores retire through the store buffer;
+                                # they do not stall dispatch in the interval
+                                # model.
                             else:
-                                if result.l1_miss:
-                                    stats.l1d_misses += 1
-                                if result.tlb_miss:
-                                    stats.dtlb_misses += 1
-                                if is_store:
-                                    stats.committed_stores += 1
-                                    # Stores retire through the store
-                                    # buffer; they do not stall dispatch in
-                                    # the interval model.
+                                stats.committed_loads += 1
+                                if result.long_latency:
+                                    stats.long_latency_loads += 1
+                                    # Second-order effects: resolve
+                                    # independent miss events hidden
+                                    # underneath the long-latency load.
+                                    if model_overlap:
+                                        self._scan_under_long_latency_load(
+                                            head, tail, fetch_limit, sim_time
+                                        )
+                                    penalty = result.penalty
+                                    sim_time += penalty
+                                    stats.long_load_penalty_cycles += penalty
+                                    if use_ow:
+                                        ow_issue.clear()
+                                        reg_ready.clear()
+                                        store_ready.clear()
+                                        ow_head_t = 0.0
+                                        ow_tail_t = 0.0
                                 else:
-                                    stats.committed_loads += 1
-                                    if result.long_latency:
-                                        stats.long_latency_loads += 1
-                                        # Second-order effects: resolve
-                                        # independent miss events hidden
-                                        # underneath the long-latency load.
-                                        if model_overlap:
-                                            self._scan_under_long_latency_load(
-                                                head, tail, fetch_limit, sim_time
-                                            )
-                                        penalty = result.penalty
-                                        sim_time += penalty
-                                        stats.long_load_penalty_cycles += penalty
-                                        if use_ow:
-                                            ow_issue.clear()
-                                            reg_ready.clear()
-                                            store_ready.clear()
-                                            ow_head_t = 0.0
-                                            ow_tail_t = 0.0
-                                    else:
-                                        # L1 miss served by the L2: fold the
-                                        # latency into the execution latency
-                                        # so the critical path (and hence
-                                        # the effective dispatch rate)
-                                        # reflects it.
-                                        latency += result.penalty
+                                    # L1 miss served by the L2: fold the
+                                    # latency into the execution latency so
+                                    # the critical path (and hence the
+                                    # effective dispatch rate) reflects it.
+                                    latency += result.penalty
 
                 # Dispatch: insert into the (possibly just-emptied) old window.
                 if use_ow:
@@ -704,26 +632,6 @@ class IntervalCore(ColumnarKernelCore):
         data_probe = hierarchy.data_probe
         predictor_access = self.predictor.access
 
-        # Inlined D-side memo aliases: overlapped loads that repeat the MRU
-        # line are two counter increments in data_probe; inlining the test
-        # here lets the structure-counter bumps batch into one flush after
-        # the scan (no intermediate reader exists — probes only increment).
-        dmemo = hierarchy.data_memo_view(core_id)
-        if dmemo is not None:
-            (
-                d_memo_block,
-                d_memo_page,
-                d_memo_epoch,
-                d_memo_writable,
-                d_epochs,
-                d_offset_bits,
-                d_page_shift,
-                d_implies_page,
-                dtlb_stats,
-                l1d_stats,
-            ) = dmemo
-        pending_hits = 0
-
         tainted_registers: Set[int] = set()
         tainted_lines: Set[int] = set()
         dst = dst_col[head]
@@ -808,36 +716,18 @@ class IntervalCore(ColumnarKernelCore):
                 if not dependent and not fb & _F_DOVR:
                     ovr[position] = fb | _F_DOVR
                     stats.overlapped_loads += 1
-                    address = addrs[position]
-                    if (
-                        dmemo is not None
-                        and address >> d_offset_bits == d_memo_block[core_id]
-                        and d_memo_epoch[core_id] == d_epochs[core_id]
-                        and (
-                            d_implies_page
-                            or address >> d_page_shift
-                            == d_memo_page[core_id]
-                        )
-                    ):
-                        # Memo hit (a load needs no writability check):
-                        # penalty-free, no miss event; structure counters
-                        # flush once after the loop.
-                        stats.dcache_accesses += 1
-                        pending_hits += 1
-                    else:
-                        result = data_probe(core_id, address, False, now)
-                        stats.dcache_accesses += 1
-                        if result is not None:
-                            if result.l1_miss:
-                                stats.l1d_misses += 1
-                            if result.tlb_miss:
-                                stats.dtlb_misses += 1
-                            if result.long_latency:
-                                # Memory-level parallelism: the independent
-                                # long-latency load overlaps with the one at
-                                # the head, so it incurs no additional
-                                # penalty.
-                                stats.long_latency_loads += 1
+                    result = data_probe(core_id, addrs[position], False, now)
+                    stats.dcache_accesses += 1
+                    if result is not None:
+                        if result.l1_miss:
+                            stats.l1d_misses += 1
+                        if result.tlb_miss:
+                            stats.dtlb_misses += 1
+                        if result.long_latency:
+                            # Memory-level parallelism: the independent
+                            # long-latency load overlaps with the one at the
+                            # head, so it incurs no additional penalty.
+                            stats.long_latency_loads += 1
             else:  # serializing: stop after its fetch
                 break
 
@@ -846,8 +736,4 @@ class IntervalCore(ColumnarKernelCore):
                 if dst is not None:
                     tainted_registers.add(dst)
             position += 1
-
-        if pending_hits:
-            dtlb_stats.accesses += pending_hits
-            l1d_stats.accesses += pending_hits
 

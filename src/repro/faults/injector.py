@@ -10,9 +10,8 @@ warm-up (faults never perturb warming) and does three things:
 * applies due point events through the hierarchy's fault helpers
   (:meth:`~repro.memory.hierarchy.MemoryHierarchy.fault_drop_line` /
   :meth:`~repro.memory.hierarchy.MemoryHierarchy.fault_corrupt_line`),
-  which bump the victim cores' coherence *and* fault epochs so the D-side
-  memo and any live committed data run are invalidated exactly the way a
-  remote coherence action would invalidate them;
+  which bump the victim cores' coherence epochs so the D-side memo is
+  invalidated exactly the way a remote coherence action would invalidate it;
 * installs the window-fault state on the DRAM model and the coherence
   controller, sharing the per-core counter arrays it later merges into
   :class:`~repro.common.stats.CoreStats`.

@@ -89,7 +89,7 @@ class FaultSpec:
         Explicit line addresses to target (cycled through per event).  Empty
         means *adversarial MRU targeting*: each event drops the victim
         core's most-recently-accessed line at the target level — guaranteed
-        to land on live memos and committed runs.
+        to land on live memos.
     period:
         Mean inter-arrival in cycles for the point kinds; gaps are drawn
         uniformly from ``[1, 2*period - 1]`` so the mean is ``period``.

@@ -492,21 +492,10 @@ class MulticoreSimulator(abc.ABC):
                     if run_shift is not None
                     else None
                 )
-                data_shift = hierarchy.data_run_shift()
-                if data_shift is not None:
-                    data_runs = batch.data_run_ends(data_shift)
-                    mem_prefix, store_prefix = batch.data_run_prefixes()
-                else:
-                    data_runs = None
                 thread_id = cursor.trace.thread_id
                 position = cursor.position
                 fetch_limit = fetch_done[index]
                 stop = min(position + min(chunk, remaining[index]), batch.length)
-                # Exclusive end of a warmed D-side run.  Runs are clamped to
-                # the chunk, so they never span a round-robin handoff — the
-                # only point where another thread's replay could bump this
-                # core's coherence epoch — and no abort path is needed.
-                data_done = position
                 while position < stop:
                     k = klass[position]
                     if k == sync_code:
@@ -538,29 +527,8 @@ class MulticoreSimulator(abc.ABC):
                         continue
                     if k == load_code or k == store_code:
                         address = addrs[position]
-                        if address is not None and position >= data_done:
-                            committed = False
-                            if data_runs is not None:
-                                end = data_runs[position]
-                                if end > stop:
-                                    end = stop
-                                if end > position + 1:
-                                    n_mem = (
-                                        mem_prefix[end] - mem_prefix[position]
-                                    )
-                                    if n_mem >= 2 and hierarchy.warm_data_run(
-                                        core_id,
-                                        address,
-                                        store_prefix[end]
-                                        > store_prefix[position],
-                                        n_mem,
-                                    ):
-                                        data_done = end
-                                        committed = True
-                            if not committed:
-                                hierarchy.warm_data(
-                                    core_id, address, k == store_code
-                                )
+                        if address is not None:
+                            hierarchy.warm_data(core_id, address, k == store_code)
                     elif k == branch_code:
                         predictor.access(instructions[position])
                     position += 1

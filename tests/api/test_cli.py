@@ -115,6 +115,27 @@ class TestInProcessCli:
         assert code == 2
         assert "no option" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag,value,named",
+        [
+            ("--max-cycles", "0", "max_cycles"),
+            ("--max-cycles", "-1", "max_cycles"),
+            ("--warmup", "-1", "warmup"),
+        ],
+    )
+    def test_out_of_range_budget_is_a_one_line_error(self, flag, value, named, capsys):
+        code = main([
+            "run",
+            "--simulator", "interval",
+            "--benchmark", "gcc",
+            "--instructions", "1000",
+            flag, value,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+
     def test_figure_smoke(self, capsys):
         code = main(["figure", "5", "--preset", "quick", "--benchmarks", "gcc"])
         assert code == 0

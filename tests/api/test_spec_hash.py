@@ -85,6 +85,24 @@ class TestSpecRoundTrip:
         assert rebuilt.workload.instructions is None
 
 
+class TestSpecBudgets:
+    @pytest.mark.parametrize(
+        "change",
+        [{"warmup_instructions": -1}, {"max_cycles": 0}, {"max_cycles": -1}],
+    )
+    def test_out_of_range_budgets_are_rejected(self, change):
+        with pytest.raises(ValueError):
+            _spec(**change)
+        # The wire format goes through the same check.
+        encoded = {**_spec().to_dict(), **change}
+        with pytest.raises(ValueError):
+            SweepSpec.from_dict(encoded)
+
+    def test_boundary_budgets_are_accepted(self):
+        spec = _spec(warmup_instructions=0, max_cycles=1)
+        assert SweepSpec.from_dict(spec.to_dict()) == spec
+
+
 class TestSpecHash:
     def test_option_insertion_order_is_canonicalized(self):
         forward = _spec(options={"use_old_window": True, "model_overlap": False})

@@ -2,22 +2,80 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
-from repro.common.stats import CoreStats, Counter, SimulationStats, Stopwatch
+from repro.api.results import RunResult
+from repro.common.stats import (
+    HOST_COUNTERS,
+    CoreStats,
+    SimulationStats,
+    Stopwatch,
+)
+
+#: Every CoreStats counter that is not host-only (core_id is an identity).
+SIMULATED_COUNTERS = [
+    f.name for f in fields(CoreStats) if f.name not in HOST_COUNTERS and f.name != "core_id"
+]
 
 
-class TestCounter:
-    def test_increment(self):
-        counter = Counter("events")
-        counter.increment()
-        counter.increment(3)
-        assert int(counter) == 4
+class TestHostCounters:
+    """Every field declared with host_counter() is handled generically."""
 
-    def test_reset(self):
-        counter = Counter("events", value=5)
-        counter.reset()
-        assert counter.value == 0
+    @staticmethod
+    def _two_core_run() -> SimulationStats:
+        cores = [
+            CoreStats(
+                core_id=core_id,
+                **{name: 10 * (core_id + 1) + i for i, name in enumerate(HOST_COUNTERS)},
+            )
+            for core_id in range(2)
+        ]
+        return SimulationStats(cores=cores, driver_stats={"events_popped": 7})
+
+    def test_declared_set(self):
+        assert set(HOST_COUNTERS) == {
+            "issue_wakeups",
+            "issue_scans_skipped",
+            "ready_bucket_peak",
+            "faults_injected",
+            "refetches_forced",
+            "dram_retries",
+            "retry_cycles",
+        }
+
+    @pytest.mark.parametrize("name", list(HOST_COUNTERS))
+    def test_host_counter_flows_everywhere_but_the_deterministic_dict(self, name):
+        stats = self._two_core_run()
+        for core in stats.as_dict()["cores"]:
+            assert name in core
+        for core in stats.deterministic_dict()["cores"]:
+            assert name not in core
+
+        values = [getattr(core, name) for core in stats.cores]
+        expected = max(values) if name == "ready_bucket_peak" else sum(values)
+        assert stats.host_counters()[name] == expected
+
+        result = RunResult(simulator="interval", workload="w", stats=stats)
+        assert result.as_dict()["metrics"][name] == expected
+
+    def test_driver_counters_fold_into_host_counters(self):
+        stats = self._two_core_run()
+        assert stats.host_counters()["events_popped"] == 7
+        assert "driver" not in stats.deterministic_dict()
+
+    @pytest.mark.parametrize("name", SIMULATED_COUNTERS)
+    def test_merge_sums_every_simulated_counter(self, name):
+        merged = CoreStats(**{name: 3})
+        merged.merge(CoreStats(**{name: 4}))
+        assert getattr(merged, name) == 7
+
+    def test_merge_takes_the_peak_of_high_water_marks(self):
+        merged = CoreStats(ready_bucket_peak=5, issue_wakeups=2)
+        merged.merge(CoreStats(ready_bucket_peak=3, issue_wakeups=4))
+        assert merged.ready_bucket_peak == 5
+        assert merged.issue_wakeups == 6
 
 
 class TestCoreStats:

@@ -7,16 +7,14 @@ from the angles most likely to break it:
 
 * a ~50-schedule randomized fuzz sweeps seeded fault plans (every kind, in
   combination) across all three timing models and asserts the optimized
-  fast paths (batched data runs, parked event driver, event-driven issue
-  queues) stay **bit-identical** to the per-access/per-cycle reference
-  paths under every schedule;
-* an adversarial schedule uses MRU line targeting to land drops *inside*
-  committed data runs on a crafted same-line workload — the one window
-  where the fast path must notice mid-run invalidation and abort to the
-  per-access path;
+  fast paths (parked event driver, event-driven issue queues) stay
+  **bit-identical** to the per-cycle reference paths under every schedule;
+* an adversarial schedule uses MRU line targeting to land drops on the line
+  a crafted same-line workload keeps memoized — every drop invalidates the
+  D-side epoch memo under the running core;
 * the observability counters: they flow to ``RunResult`` metrics, they are
   reproducible run to run, and they are *excluded* from the deterministic
-  comparison dict (fast and reference paths attribute aborts differently);
+  comparison dict;
 * the service-layer property: a faulted spec rebuilt through
   ``from_dict(to_dict())`` reruns bit-identically, so fault runs cache and
   resume like any other job.
@@ -33,7 +31,6 @@ from repro.api.session import run_spec
 from repro.common.isa import Instruction, InstructionClass
 from repro.detailed.ooo_core import DetailedCore
 from repro.faults import FaultPlan, FaultSpec
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.multicore.simulator import MulticoreSimulator
 from repro.trace.stream import ThreadTrace, Workload
 
@@ -134,7 +131,6 @@ class TestFuzzFastVsReference:
         self, index, model, bench, threads, total, warmup, plan, monkeypatch
     ):
         fast = _run_faulted(model, bench, threads, total, warmup, plan)
-        monkeypatch.setattr(MemoryHierarchy, "use_data_runs", False)
         monkeypatch.setattr(MulticoreSimulator, "park_blocked_cores", False)
         monkeypatch.setattr(DetailedCore, "event_driven_issue", False)
         reference = _run_faulted(model, bench, threads, total, warmup, plan)
@@ -144,16 +140,15 @@ class TestFuzzFastVsReference:
 
 
 # ---------------------------------------------------------------------------
-# Adversarial: faults landing inside committed data runs
+# Adversarial: faults landing on the memoized line
 # ---------------------------------------------------------------------------
 
 
 def _same_line_trace(count: int) -> ThreadTrace:
     """ALU/memory mix whose memory ops all share one L1d line.
 
-    Mirrors the builder in ``tests/memory/test_data_runs.py``: the whole
-    trace is a single maximal data run, so MRU-targeted drops are guaranteed
-    to land on a line backing a committed run.
+    Nearly every memory op is a D-side memo hit, so MRU-targeted drops are
+    guaranteed to land on the line the memo vouches for.
     """
     base = 0x8000
     instructions = []
@@ -172,8 +167,8 @@ def _same_line_trace(count: int) -> ThreadTrace:
 
 
 #: Empty ``lines`` means adversarial MRU targeting: every drop lands on the
-#: victim core's most-recently-accessed L1d line — exactly the line backing
-#: the crafted workload's committed run.
+#: victim core's most-recently-accessed L1d line — exactly the line the
+#: crafted workload keeps memoized.
 MRU_DROPS = FaultPlan(
     seed=3, specs=(FaultSpec(kind="drop_line", period=60, core=0),)
 )
@@ -191,20 +186,11 @@ def _run_same_line(model: str, plan: FaultPlan):
     )
 
 
-class TestFaultInsideCommittedRun:
-    @pytest.mark.parametrize("model", ["interval", "oneipc"])
-    def test_mru_drops_abort_committed_runs(self, model):
-        result = _run_same_line(model, MRU_DROPS)
-        # The schedule actually fired, runs actually committed, and drops
-        # landing mid-run forced fault-attributed aborts.
-        assert result.stats.faults_injected > 0
-        assert result.stats.data_runs_committed > 0
-        assert result.stats.runs_aborted_by_fault > 0
-
+class TestMruDropsOnMemoizedLine:
     @pytest.mark.parametrize("model", MODELS)
-    def test_aborted_runs_match_per_access_reference(self, model, monkeypatch):
+    def test_mru_drops_fire_and_fast_matches_reference(self, model, monkeypatch):
         fast = _run_same_line(model, MRU_DROPS)
-        monkeypatch.setattr(MemoryHierarchy, "use_data_runs", False)
+        assert fast.stats.host_counters()["faults_injected"] > 0
         monkeypatch.setattr(MulticoreSimulator, "park_blocked_cores", False)
         monkeypatch.setattr(DetailedCore, "event_driven_issue", False)
         reference = _run_same_line(model, MRU_DROPS)
@@ -229,7 +215,6 @@ FAULT_COUNTERS = (
     "refetches_forced",
     "dram_retries",
     "retry_cycles",
-    "runs_aborted_by_fault",
 )
 
 
@@ -276,10 +261,10 @@ class TestCounters:
     def test_identical_runs_reproduce_counters_exactly(self, faulted_result):
         repeat = _combined_session().run()
         assert repeat.stats.deterministic_dict() == faulted_result.stats.deterministic_dict()
+        counters = repeat.stats.host_counters()
+        expected = faulted_result.stats.host_counters()
         for name in FAULT_COUNTERS:
-            assert getattr(repeat.stats, name) == getattr(
-                faulted_result.stats, name
-            ), name
+            assert counters[name] == expected[name], name
 
 
 class TestServiceContract:

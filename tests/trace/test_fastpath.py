@@ -67,19 +67,12 @@ def test_builders_agree_with_and_without_numpy(monkeypatch):
     instructions = _mixed_instructions(5000)
     fast = TraceBatch(instructions)
     fast_plain = fast.plain_run_ends()
-    fast_quiet = fast.quiet_run_ends()
     fast_runs = {bits: fast.fetch_line_runs(bits) for bits in (6, 12)}
-    fast_data = {bits: fast.data_run_ends(bits) for bits in (6, 12)}
-    fast_prefixes = fast.data_run_prefixes()
 
     slow = _fallback_batch(monkeypatch, instructions)
     assert slow.plain_run_ends() == fast_plain
-    assert slow.quiet_run_ends() == fast_quiet
     for bits, expected in fast_runs.items():
         assert slow.fetch_line_runs(bits) == expected
-    for bits, expected in fast_data.items():
-        assert slow.data_run_ends(bits) == expected
-    assert slow.data_run_prefixes() == fast_prefixes
     assert slow.fetch_skip_template == fast.fetch_skip_template
 
 
@@ -109,73 +102,6 @@ def test_fetch_line_runs_semantics(monkeypatch):
                         assert batch.pc[end] >> bits != base
                 # Cached per shift: the same list object comes back.
                 assert batch.fetch_line_runs(bits) is runs
-
-
-def test_data_run_columns_semantics(monkeypatch):
-    """D-side run ends, prefix counts and quiet runs mean what they claim."""
-    instructions = _mixed_instructions(800, seed=11)
-    noisy = {
-        int(InstructionClass.BRANCH),
-        int(InstructionClass.SERIALIZING),
-        int(InstructionClass.SYNC),
-    }
-    for use_numpy in (True, False):
-        if use_numpy and fastpath.numpy is None:
-            continue
-        with monkeypatch.context() as patch:
-            if not use_numpy:
-                patch.setattr(fastpath, "numpy", None)
-            batch = TraceBatch(instructions)
-            addrs = batch.mem_addr
-            mem_positions = [
-                index for index, addr in enumerate(addrs) if addr is not None
-            ]
-            for bits in (6, 12):
-                runs = batch.data_run_ends(bits)
-                assert len(runs) == len(batch)
-                for index, end in enumerate(runs):
-                    if addrs[index] is None:
-                        assert end == 0
-                        continue
-                    assert index < end <= len(batch)
-                    base = addrs[index] >> bits
-                    inside = [p for p in mem_positions if index <= p < end]
-                    # The run ends right after its last memory op, every
-                    # memory op inside shares the line ...
-                    assert inside and inside[-1] == end - 1
-                    assert all(addrs[p] >> bits == base for p in inside)
-                    # ... and the run is maximal.
-                    following = [p for p in mem_positions if p >= end]
-                    if following:
-                        assert addrs[following[0]] >> bits != base
-                # Cached per shift: the same list object comes back.
-                assert batch.data_run_ends(bits) is runs
-
-            mem_prefix, store_prefix = batch.data_run_prefixes()
-            assert len(mem_prefix) == len(batch) + 1
-            assert len(store_prefix) == len(batch) + 1
-            store_code = int(InstructionClass.STORE)
-            mem_total = store_total = 0
-            assert mem_prefix[0] == 0 and store_prefix[0] == 0
-            for index in range(len(batch)):
-                if addrs[index] is not None:
-                    mem_total += 1
-                if batch.klass[index] == store_code:
-                    store_total += 1
-                assert mem_prefix[index + 1] == mem_total
-                assert store_prefix[index + 1] == store_total
-
-            quiet = batch.quiet_run_ends()
-            for index, end in enumerate(quiet):
-                if batch.klass[index] in noisy:
-                    assert end == index
-                else:
-                    assert index < end <= len(batch)
-                    assert all(
-                        batch.klass[p] not in noisy for p in range(index, end)
-                    )
-                    if end < len(batch):
-                        assert batch.klass[end] in noisy
 
 
 def test_fallback_run_is_bit_identical(monkeypatch):
