@@ -79,6 +79,10 @@ class WorkloadSpec:
             raise ValueError(f"{self.kind!r} workloads need 'benchmark'")
         if self.copies <= 0:
             raise ValueError("copies must be positive")
+        if self.instructions is not None and self.instructions < 1:
+            raise ValueError(
+                f"instructions must be at least 1 (or unset), got {self.instructions}"
+            )
 
     @property
     def num_threads(self) -> int:

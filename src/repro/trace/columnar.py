@@ -1,30 +1,32 @@
-"""Columnar (struct-of-arrays) view of a thread trace.
+"""Columnar (struct-of-arrays) storage of a thread trace.
 
-The interval kernel executes whole intervals per step, scanning thousands of
-instructions between miss events.  Pulling one :class:`~repro.common.isa.Instruction`
-object per step off the cursor and reading its attributes through Python
-property descriptors dominates the cost of that scan, so the hot path reads a
-:class:`TraceBatch` instead: parallel per-field lists (opcode/latency class,
-fetch PC, effective address, dependence registers, synchronization kind)
-generated once per :class:`~repro.trace.stream.ThreadTrace` and shared by
-every cursor over it.
+A :class:`TraceBatch` is the one storage of a committed instruction stream:
+parallel per-field lists (opcode/latency class, fetch PC, effective address,
+dependence registers, branch outcome, synchronization kind) that the trace
+generators write directly and every timing model reads by position.  The
+interval kernel executes whole intervals per step, scanning thousands of
+positions between miss events, so it reads the columns instead of pulling
+one :class:`~repro.common.isa.Instruction` per step through property
+descriptors.
 
-The batch is a *view*: the ``instructions`` list is the trace's own storage,
-and the :class:`~repro.common.isa.Instruction` objects remain the interface
-for the structures that genuinely need them (branch predictors, the detailed
-reference model).  Consumers index the columns with the same positions a
-cursor reports, so cursor-based and columnar access can be mixed freely.
+:class:`~repro.common.isa.Instruction` objects remain the interface for the
+structures that genuinely need them: branch predictors (interval, one-IPC
+and functional warm-up build one per branch position) and the detailed
+reference model (one per fetched position).  A synthesized batch builds each
+object on first access and caches it; a batch built from hand-made
+instructions keeps the caller's objects.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..common import fastpath
-from ..common.isa import Instruction, InstructionClass
+from ..common.isa import Instruction, InstructionClass, SyncKind
 
 __all__ = [
     "TraceBatch",
+    "LazyInstructions",
     "KLASS_PLAIN",
     "LINE_SHIFT",
     "FLAG_NO_FETCH",
@@ -57,14 +59,86 @@ KLASS_PLAIN: Tuple[bool, ...] = tuple(
 )
 
 
+#: Enum members by code, for building instructions from the code columns.
+_CLASSES: Tuple[InstructionClass, ...] = tuple(InstructionClass)
+_SYNC_KINDS: Tuple[SyncKind, ...] = tuple(SyncKind)
+
+
+class LazyInstructions:
+    """The instructions of a synthesized batch, each built on first access.
+
+    ``lazy[pos]`` builds the :class:`~repro.common.isa.Instruction` at
+    ``pos`` from the batch's columns the first time it is read and returns
+    the same object ever after.  Consumers that read only some positions
+    (the branch predictors of the interval and one-IPC kernels and of
+    functional warm-up) never pay for the others.  The cache is a flat list
+    with one slot per position.
+    """
+
+    __slots__ = ("_batch", "_built")
+
+    def __init__(self, batch: "TraceBatch") -> None:
+        self._batch = batch
+        self._built: List[Optional[Instruction]] = [None] * batch.length
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, pos: int) -> Instruction:
+        built = self._built[pos]
+        if built is None:
+            built = self._built[pos] = self._build(pos)
+        return built
+
+    def _build(self, pos: int) -> Instruction:
+        batch = self._batch
+        return Instruction(
+            batch.seq[pos],
+            batch.pc[pos],
+            _CLASSES[batch.klass[pos]],
+            batch.src_regs[pos],
+            batch.dst_reg[pos],
+            batch.mem_addr[pos],
+            8,  # mem_size: every synthesized access is one 8-byte word
+            batch.is_taken[pos],
+            batch.branch_target[pos],
+            batch.is_call[pos] == 1,
+            batch.is_return[pos] == 1,
+            _SYNC_KINDS[batch.sync_kind[pos]],
+            batch.sync_object[pos],
+            batch.thread_id,
+            batch.is_kernel[pos] == 1,
+        )
+
+    def __iter__(self) -> Iterator[Instruction]:
+        return map(self.__getitem__, range(len(self._built)))
+
+    def built_positions(self) -> List[int]:
+        """Positions whose instruction has been built so far."""
+        return [pos for pos, built in enumerate(self._built) if built is not None]
+
+
 class TraceBatch:
-    """Struct-of-arrays decomposition of one committed instruction stream.
+    """Struct-of-arrays storage of one committed instruction stream.
+
+    A batch is filled in one of two ways.  The trace generators start from
+    ``TraceBatch()``, append records with :meth:`append_records` (and
+    overwrite them in place), then call :meth:`seal`.  Hand-built traces
+    pass their :class:`~repro.common.isa.Instruction` list, which is
+    converted to columns once and sealed at once.
 
     Attributes
     ----------
     instructions:
-        The underlying :class:`~repro.common.isa.Instruction` list (shared
-        with the trace, not copied).
+        ``instructions[pos]`` is the :class:`~repro.common.isa.Instruction`
+        at ``pos``.  For a hand-built batch this is the caller's own list;
+        for a synthesized one it is a :class:`LazyInstructions` that builds
+        each object on first access and caches it, so ``instructions[pos]
+        is instructions[pos]``.
+    thread_id:
+        Thread stamped on built instructions (set by the owning trace).
+    seq:
+        Per-thread dynamic sequence numbers.
     klass:
         Instruction-class codes (``int(InstructionClass)``), which double as
         the latency-class column: execution latencies are resolved through a
@@ -79,53 +153,89 @@ class TraceBatch:
     sync_kind / sync_object:
         Synchronization pseudo-op columns (``int(SyncKind)`` codes).
     is_taken / branch_target:
-        Branch outcome columns (the actual direction and target).  The
-        timing kernels currently feed branch predictors whole
-        :class:`~repro.common.isa.Instruction` objects (predictors also need
-        call/return markers), so these columns exist for schema completeness
-        and columnar consumers such as trace analyses.
+        Branch outcome columns (the actual direction and target), the source
+        of the ``is_taken``/``branch_target`` fields of built instructions.
+    is_call / is_return / is_kernel:
+        One byte per position (0 or 1): call/return markers for the
+        return-address stack and the full-system kernel-mode flag.
     """
 
     __slots__ = (
-        "instructions",
-        "klass",
-        "pc",
-        "mem_addr",
-        "mem_line",
-        "src_regs",
-        "dst_reg",
-        "sync_kind",
-        "sync_object",
-        "is_taken",
-        "branch_target",
-        "fetch_skip_template",
-        "has_sync",
-        "length",
-        "_plain_run_ends",
-        "_line_runs",
+        "instructions", "thread_id", "seq", "klass", "pc", "mem_addr", "mem_line",
+        "src_regs", "dst_reg", "sync_kind", "sync_object", "is_taken",
+        "branch_target", "is_call", "is_return", "is_kernel",
+        "fetch_skip_template", "has_sync", "length", "_plain_run_ends", "_line_runs",
     )
 
-    def __init__(self, instructions: Sequence[Instruction]) -> None:
-        # Per-column list comprehensions keep the build a handful of tight
-        # loops; the batch is built once per trace and cached, so this is off
-        # the simulation hot path.
-        self.instructions: List[Instruction] = (
-            instructions if isinstance(instructions, list) else list(instructions)
-        )
-        ins = self.instructions
+    def __init__(self, instructions: Optional[Sequence[Instruction]] = None) -> None:
+        if instructions is not None and not isinstance(instructions, list):
+            instructions = list(instructions)
+        self.instructions = instructions
+        self.thread_id = 0
+        # Per-column list comprehensions keep the conversion a handful of
+        # tight loops; it runs once per hand-built trace.
+        ins = instructions or ()
+        self.seq: List[int] = [i.seq for i in ins]
         self.klass: List[int] = [int(i.klass) for i in ins]
         self.pc: List[int] = [i.pc for i in ins]
         self.mem_addr: List[Optional[int]] = [i.mem_addr for i in ins]
-        self.mem_line: List[Optional[int]] = [
-            None if a is None else a >> LINE_SHIFT for a in self.mem_addr
-        ]
         self.src_regs: List[Tuple[int, ...]] = [i.src_regs for i in ins]
         self.dst_reg: List[Optional[int]] = [i.dst_reg for i in ins]
         self.sync_kind: List[int] = [int(i.sync) for i in ins]
         self.sync_object: List[int] = [i.sync_object for i in ins]
         self.is_taken: List[bool] = [i.is_taken for i in ins]
         self.branch_target: List[int] = [i.branch_target for i in ins]
-        self.length = len(ins)
+        self.is_call = bytearray(bool(i.is_call) for i in ins)
+        self.is_return = bytearray(bool(i.is_return) for i in ins)
+        self.is_kernel = bytearray(bool(i.is_kernel) for i in ins)
+        self.seal()
+
+    def append_records(
+        self,
+        seqs: Sequence[int],
+        klass: int,
+        pcs: Sequence[int],
+        addresses: Sequence[Optional[int]],
+        src_regs: Tuple[int, ...] = (),
+        sync_kind: int = 0,
+        sync_object: int = 0,
+    ) -> None:
+        """Append one record per entry of ``seqs`` to the source columns.
+
+        The records share their class, source registers and synchronization
+        fields; sequence numbers, PCs and addresses are per record.  Every
+        other field takes its default (no destination, not taken, target 0,
+        no call/return, user mode).  A generator appends a chunk of
+        placeholders this way and overwrites the fields it draws in place.
+        """
+        n = len(seqs)
+        self.seq += seqs
+        self.klass += [klass] * n
+        self.pc += pcs
+        self.mem_addr += addresses
+        self.src_regs += [src_regs] * n
+        self.dst_reg += [None] * n
+        self.sync_kind += [sync_kind] * n
+        self.sync_object += [sync_object] * n
+        self.is_taken += [False] * n
+        self.branch_target += [0] * n
+        flags = bytes(n)
+        self.is_call += flags
+        self.is_return += flags
+        self.is_kernel += flags
+
+    def seal(self) -> "TraceBatch":
+        """Derive the read-side columns once the source columns are complete.
+
+        Builds ``mem_line``, ``has_sync`` and the fetch-skip template, drops
+        the cached run columns, and gives a synthesized batch its lazily
+        built :attr:`instructions`.  Returns the batch.
+        """
+        self.length = len(self.klass)
+        self._plain_run_ends: Optional[List[int]] = None
+        # Per-shift cache of the fetch-line run column (see fetch_line_runs).
+        self._line_runs: Dict[int, List[int]] = {}
+        self.mem_line = [None if a is None else a >> LINE_SHIFT for a in self.mem_addr]
         # Per-position flag-byte template: consumers copy it to seed their
         # own flag array with the positions that must never be fetched.
         # has_sync lets consumers that never set their own flags skip the
@@ -145,9 +255,9 @@ class TraceBatch:
                     if code == sync_code:
                         template[position] = FLAG_NO_FETCH
         self.fetch_skip_template = template
-        self._plain_run_ends: Optional[List[int]] = None
-        # Per-shift cache of the fetch-line run column (see fetch_line_runs).
-        self._line_runs: Dict[int, List[int]] = {}
+        if not isinstance(self.instructions, list):
+            self.instructions = LazyInstructions(self)
+        return self
 
     def __len__(self) -> int:
         return self.length

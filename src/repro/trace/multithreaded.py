@@ -32,7 +32,8 @@ import random
 import zlib
 from typing import List, Optional
 
-from ..common.isa import Instruction, InstructionClass, SyncKind
+from ..common.isa import InstructionClass, SyncKind
+from .columnar import TraceBatch
 from .profiles import WorkloadProfile
 from .stream import ThreadTrace, Workload
 from .synthetic import SyntheticTraceGenerator, _SHARED_BASE
@@ -41,11 +42,19 @@ __all__ = ["MultiThreadedTraceGenerator", "generate_multithreaded_workload"]
 
 
 _SYNC_PC_BASE = 0x00F0_0000
+_SHARED_INIT_PC = 0x0040_0500
 _NUM_LOCKS = 8
+_SYNC = int(InstructionClass.SYNC)
 
 
 class MultiThreadedTraceGenerator:
     """Generates the per-thread traces of one parallel (PARSEC-like) program.
+
+    Each thread's work comes from its own
+    :class:`~repro.trace.synthetic.SyntheticTraceGenerator`, emitted in
+    chunks into that thread's :class:`~repro.trace.columnar.TraceBatch`; the
+    synchronization pseudo-ops between the chunks are appended to the same
+    columns.
 
     Parameters
     ----------
@@ -54,9 +63,9 @@ class MultiThreadedTraceGenerator:
     num_threads:
         Number of worker threads (one per core in the paper's experiments).
     total_instructions:
-        Total dynamic work of the program across all threads.  Defaults to
-        ``profile.instructions``; constant with respect to ``num_threads`` so
-        that more threads mean less work per thread.
+        Total dynamic work of the program across all threads.  ``None``
+        selects ``profile.instructions``; constant with respect to
+        ``num_threads`` so that more threads mean less work per thread.
     seed:
         Deterministic seed.
     """
@@ -72,7 +81,9 @@ class MultiThreadedTraceGenerator:
             raise ValueError("need at least one thread")
         self.profile = profile
         self.num_threads = num_threads
-        self.total_instructions = total_instructions or profile.instructions
+        self.total_instructions = (
+            profile.instructions if total_instructions is None else total_instructions
+        )
         if self.total_instructions <= 0:
             raise ValueError("total instruction count must be positive")
         self.seed = seed
@@ -94,7 +105,7 @@ class MultiThreadedTraceGenerator:
             )
             for tid in range(num_threads)
         ]
-        per_thread: List[List[Instruction]] = [[] for _ in range(num_threads)]
+        batches = [TraceBatch() for _ in range(num_threads)]
 
         # Data-initialization phase: every thread sweeps its private working
         # sets, and the main thread additionally initializes the shared
@@ -102,11 +113,9 @@ class MultiThreadedTraceGenerator:
         # shared data before spawning workers).  Experiments cover this phase
         # with functional warm-up.
         per_thread_budget = max(0, self.total_instructions // max(num_threads, 1) // 5)
-        for tid, generator in enumerate(generators):
-            per_thread[tid].extend(generator._init_phase(budget=per_thread_budget))
-        per_thread[0].extend(
-            self._shared_region_init(generators[0], budget=per_thread_budget)
-        )
+        for generator, batch in zip(generators, batches):
+            generator.emit_init_phase(batch, budget=per_thread_budget)
+        self._shared_region_init(generators[0], batches[0], budget=per_thread_budget)
 
         serial_work = int(self.total_instructions * (1.0 - profile.parallel_fraction))
         parallel_work = self.total_instructions - serial_work
@@ -118,24 +127,24 @@ class MultiThreadedTraceGenerator:
 
         # Leading serial section: thread 0 works, everyone then synchronizes.
         if serial_work > 0:
-            self._emit_work(generators[0], per_thread[0], serial_work // 2)
-            barrier_id = self._emit_barrier(per_thread, barrier_id)
+            generators[0].emit(batches[0], serial_work // 2)
+            barrier_id = self._emit_barrier(batches, barrier_id)
 
         for phase in range(num_phases):
             shares = self._phase_shares(phase_work)
             for tid in range(num_threads):
-                self._emit_parallel_work(generators[tid], per_thread[tid], shares[tid])
+                self._emit_parallel_work(generators[tid], batches[tid], shares[tid])
             if profile.barrier_interval > 0 or phase < num_phases - 1:
-                barrier_id = self._emit_barrier(per_thread, barrier_id)
+                barrier_id = self._emit_barrier(batches, barrier_id)
 
         # Trailing serial section (e.g. result aggregation by the main thread).
         if serial_work > 0:
-            self._emit_work(generators[0], per_thread[0], serial_work - serial_work // 2)
-            barrier_id = self._emit_barrier(per_thread, barrier_id)
+            generators[0].emit(batches[0], serial_work - serial_work // 2)
+            barrier_id = self._emit_barrier(batches, barrier_id)
 
         traces = [
-            ThreadTrace(per_thread[tid], thread_id=tid, name=f"{profile.name}.t{tid}")
-            for tid in range(num_threads)
+            ThreadTrace(batch.seal(), thread_id=tid, name=f"{profile.name}.t{tid}")
+            for tid, batch in enumerate(batches)
         ]
         return Workload(
             name=f"{profile.name} ({num_threads} threads)",
@@ -148,29 +157,16 @@ class MultiThreadedTraceGenerator:
     # -- helpers -----------------------------------------------------------------
 
     def _shared_region_init(
-        self, generator: SyntheticTraceGenerator, budget: int
-    ) -> List[Instruction]:
+        self, generator: SyntheticTraceGenerator, batch: TraceBatch, budget: int
+    ) -> None:
         """Main-thread sweep over the shared region (stores, one per line)."""
-        instructions: List[Instruction] = []
         base = generator.shared_region_base
-        size = generator.shared_region_size
-        pc = 0x0040_0500
-        for offset in range(0, size, 64):
-            if len(instructions) >= budget:
-                break
-            instructions.append(
-                Instruction(
-                    seq=0,
-                    pc=pc,
-                    klass=InstructionClass.STORE,
-                    src_regs=(1,),
-                    dst_reg=None,
-                    mem_addr=base + offset,
-                    mem_size=8,
-                    thread_id=generator.thread_id,
-                )
-            )
-        return instructions
+        addresses = range(base, base + generator.shared_region_size, 64)[:budget]
+        count = len(addresses)
+        batch.append_records(
+            [0] * count, int(InstructionClass.STORE), [_SHARED_INIT_PC] * count,
+            addresses, (1,),
+        )
 
     def _phase_shares(self, phase_work: int) -> List[int]:
         """Split one phase's work across threads with load imbalance."""
@@ -182,20 +178,10 @@ class MultiThreadedTraceGenerator:
             shares.append(max(16, int(base_share * max(0.1, noise))))
         return shares
 
-    def _emit_work(
-        self,
-        generator: SyntheticTraceGenerator,
-        out: List[Instruction],
-        amount: int,
-    ) -> None:
-        """Emit ``amount`` plain instructions from a thread's generator."""
-        for _ in range(max(0, amount)):
-            out.append(generator.next_instruction())
-
     def _emit_parallel_work(
         self,
         generator: SyntheticTraceGenerator,
-        out: List[Instruction],
+        batch: TraceBatch,
         amount: int,
     ) -> None:
         """Emit a thread's share of one parallel phase, with critical sections."""
@@ -207,58 +193,38 @@ class MultiThreadedTraceGenerator:
                 chunk = min(remaining, max(8, int(self._rng.expovariate(1.0 / lock_interval))))
             else:
                 chunk = remaining
-            self._emit_work(generator, out, chunk)
+            generator.emit(batch, chunk)
             remaining -= chunk
             if lock_interval > 0 and remaining > 0:
-                remaining -= self._emit_critical_section(generator, out, min(remaining, profile.critical_section_length))
+                remaining -= self._emit_critical_section(
+                    generator, batch, min(remaining, profile.critical_section_length)
+                )
 
     def _emit_critical_section(
         self,
         generator: SyntheticTraceGenerator,
-        out: List[Instruction],
+        batch: TraceBatch,
         length: int,
     ) -> int:
         """Emit a lock-protected critical section; returns instructions used."""
         lock_id = self._rng.randrange(_NUM_LOCKS)
-        thread_id = generator.thread_id
-        out.append(
-            Instruction(
-                seq=0,
-                pc=_SYNC_PC_BASE + 8 * lock_id,
-                klass=InstructionClass.SYNC,
-                sync=SyncKind.LOCK_ACQUIRE,
-                sync_object=lock_id,
-                thread_id=thread_id,
-            )
-        )
+        pc = _SYNC_PC_BASE + 8 * lock_id
+        _append_sync(batch, pc, SyncKind.LOCK_ACQUIRE, lock_id)
         body = max(1, length)
-        self._emit_work(generator, out, body)
-        out.append(
-            Instruction(
-                seq=0,
-                pc=_SYNC_PC_BASE + 8 * lock_id + 4,
-                klass=InstructionClass.SYNC,
-                sync=SyncKind.LOCK_RELEASE,
-                sync_object=lock_id,
-                thread_id=thread_id,
-            )
-        )
+        generator.emit(batch, body)
+        _append_sync(batch, pc + 4, SyncKind.LOCK_RELEASE, lock_id)
         return body + 2
 
-    def _emit_barrier(self, per_thread: List[List[Instruction]], barrier_id: int) -> int:
+    def _emit_barrier(self, batches: List[TraceBatch], barrier_id: int) -> int:
         """Append a barrier pseudo-instruction to every thread's stream."""
-        for tid, stream in enumerate(per_thread):
-            stream.append(
-                Instruction(
-                    seq=0,
-                    pc=_SYNC_PC_BASE + 0x1000,
-                    klass=InstructionClass.SYNC,
-                    sync=SyncKind.BARRIER,
-                    sync_object=barrier_id,
-                    thread_id=tid,
-                )
-            )
+        for batch in batches:
+            _append_sync(batch, _SYNC_PC_BASE + 0x1000, SyncKind.BARRIER, barrier_id)
         return barrier_id + 1
+
+
+def _append_sync(batch: TraceBatch, pc: int, kind: SyncKind, sync_object: int) -> None:
+    """Append one synchronization pseudo-op (sequence number 0) to ``batch``."""
+    batch.append_records((0,), _SYNC, (pc,), (None,), (), int(kind), sync_object)
 
 
 def generate_multithreaded_workload(

@@ -16,8 +16,8 @@ which the dynamic instruction stream reaches the timing simulators:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Sequence, Union
 
 from ..common.isa import Instruction
 from .columnar import TraceBatch
@@ -28,55 +28,58 @@ __all__ = ["ThreadTrace", "TraceCursor", "Workload"]
 class ThreadTrace:
     """The dynamic instruction stream of a single software thread.
 
-    A trace is an immutable sequence of :class:`~repro.common.isa.Instruction`
-    objects in commit order.  Timing simulators never index traces randomly;
-    they obtain a :class:`TraceCursor` and pull instructions in order, which
-    keeps the simulators oblivious to how the trace was produced.
+    A trace wraps the :class:`~repro.trace.columnar.TraceBatch` that stores
+    its instructions, in commit order, as columns.  Timing simulators consume
+    it in order through a :class:`TraceCursor`.  ``ThreadTrace(batch)`` wraps
+    a sealed batch; ``ThreadTrace(instructions)`` builds a trace by hand: it
+    stamps ``thread_id`` on the caller's objects, converts them to columns
+    once and keeps the objects, so ``trace[i]`` returns them.
     """
 
     def __init__(
         self,
-        instructions: Sequence[Instruction],
+        instructions: Union[TraceBatch, Sequence[Instruction]],
         thread_id: int = 0,
         name: str = "",
     ) -> None:
-        self._instructions: List[Instruction] = list(instructions)
+        if isinstance(instructions, TraceBatch):
+            batch = instructions
+        else:
+            objects = list(instructions)
+            for instruction in objects:
+                instruction.thread_id = thread_id
+            batch = TraceBatch(objects)
+        batch.thread_id = thread_id
+        self._batch = batch
         self.thread_id = thread_id
         self.name = name or f"thread{thread_id}"
-        for instruction in self._instructions:
-            instruction.thread_id = thread_id
-        # Columnar view, built lazily on first use and shared by every cursor
-        # (the trace is immutable once constructed).
-        self._batch: Optional[TraceBatch] = None
 
     def __len__(self) -> int:
-        return len(self._instructions)
+        return self._batch.length
 
     def __iter__(self) -> Iterator[Instruction]:
-        return iter(self._instructions)
+        return iter(self._batch.instructions)
 
     def __getitem__(self, index: int) -> Instruction:
-        return self._instructions[index]
+        return self._batch.instructions[index]
 
     def cursor(self) -> "TraceCursor":
         """Return a fresh cursor positioned at the first instruction."""
         return TraceCursor(self)
 
     def batch(self) -> TraceBatch:
-        """Columnar (struct-of-arrays) view of this trace.
+        """The columnar (struct-of-arrays) storage of this trace.
 
-        Generated once and cached; every cursor over the trace shares it, so
-        the interval kernel reads plain list columns instead of materializing
-        an :class:`~repro.common.isa.Instruction` attribute chain per step.
+        Every cursor over the trace shares it, so the interval kernel reads
+        plain list columns instead of an
+        :class:`~repro.common.isa.Instruction` attribute chain per step.
         """
-        if self._batch is None:
-            self._batch = TraceBatch(self._instructions)
         return self._batch
 
     @property
     def instruction_count(self) -> int:
         """Number of dynamic instructions in this trace."""
-        return len(self._instructions)
+        return self._batch.length
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -46,10 +46,13 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from bisect import bisect
+from itertools import accumulate
+from math import log
+from typing import Dict, List, Optional
 
-from ..common.isa import Instruction, InstructionClass, NUM_ARCH_REGISTERS, SyncKind
+from ..common.isa import InstructionClass, NUM_ARCH_REGISTERS
+from .columnar import TraceBatch
 from .profiles import WorkloadProfile
 from .stream import ThreadTrace
 
@@ -69,68 +72,56 @@ _KERNEL_DATA_FOOTPRINT = 64 * 1024
 _INSTRUCTION_BYTES = 4
 _FUNCTION_SIZE = 1024  # bytes of code per synthetic function
 _NUM_HOT_FUNCTIONS = 12
+_NUM_STREAMS = 4
+_LINE_BYTES = 64
+_WORD_BYTES = 8
+
+#: Mean length of a kernel (OS) phase in instructions: system call and
+#: interrupt handling come in bursts of a few hundred instructions.
+_MEAN_KERNEL_PHASE = 600.0
+#: Probability that a branch is turned into a call or a return.
+_CALL_PROBABILITY = 0.06
+#: The initialization sweep's PCs cycle through this many slots of a
+#: function starting at offset ``_INIT_PC_OFFSET``.
+_INIT_PC_OFFSET = 0x100
+_INIT_PC_SLOTS = (0x3F0 - _INIT_PC_OFFSET) // _INSTRUCTION_BYTES
+
+_BRANCH = int(InstructionClass.BRANCH)
+_LOAD = int(InstructionClass.LOAD)
+_STORE = int(InstructionClass.STORE)
+_SERIALIZING = int(InstructionClass.SERIALIZING)
+#: Register names are drawn from 1..NUM_ARCH_REGISTERS-1 (register 0 is
+#: reserved): ``randrange(1, NUM_ARCH_REGISTERS)`` inlined.
+_NUM_REGS = NUM_ARCH_REGISTERS - 1
+_REG_BITS = _NUM_REGS.bit_length()
 
 
-class _BranchSite:
-    """Behaviour of one static branch site."""
-
-    __slots__ = ("kind", "bias", "loop_count", "remaining", "target")
-
-    def __init__(self, kind: str, bias: float, loop_count: int, target: int) -> None:
-        self.kind = kind
-        self.bias = bias
-        self.loop_count = loop_count
-        self.remaining = loop_count
-        self.target = target
-
-    def outcome(self, rng: random.Random) -> bool:
-        """Produce the next dynamic outcome of this branch site."""
-        if self.kind == "loop":
-            if self.remaining > 0:
-                self.remaining -= 1
-                return True
-            self.remaining = self.loop_count
-            return False
-        # Biased and hard branches draw from their bias.
-        return rng.random() < self.bias
+def _slots(width: int, step: int) -> int:
+    """Number of values ``randrange(start, start + width, step)`` can return."""
+    return (width + step - 1) // step
 
 
-class _StrideStream:
-    """A sequential access stream walking through part of the data footprint."""
+def _randbelow(getrandbits, n: int) -> int:
+    """``random.Random._randbelow``, the draw behind ``randrange`` and ``choice``.
 
-    __slots__ = ("base", "position", "stride", "length")
-
-    def __init__(self, base: int, length: int, stride: int) -> None:
-        self.base = base
-        self.position = 0
-        self.stride = stride
-        self.length = max(length, stride)
-
-    def next_address(self) -> int:
-        """Return the next address of the stream, wrapping at the end."""
-        address = self.base + self.position
-        self.position = (self.position + self.stride) % self.length
-        return address
-
-
-@dataclass
-class _GeneratorState:
-    """Mutable bookkeeping of the generator while a trace is produced."""
-
-    pc: int = _CODE_BASE
-    function_base: int = _CODE_BASE
-    block_remaining: int = 0
-    in_kernel: bool = False
-    kernel_remaining: int = 0
-    call_stack: Optional[List[int]] = None
-
-    def __post_init__(self) -> None:
-        if self.call_stack is None:
-            self.call_stack = []
+    ``randrange(start, stop, step)`` returns ``start + step *
+    _randbelow(_slots(stop - start, step))`` and ``choice(seq)`` returns
+    ``seq[_randbelow(len(seq))]``; calling it directly skips their argument
+    handling but consumes exactly the same bits.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 class SyntheticTraceGenerator:
     """Generates the dynamic instruction stream of one software thread.
+
+    The generator writes straight into :class:`~repro.trace.columnar.TraceBatch`
+    columns; no :class:`~repro.common.isa.Instruction` object is created while
+    a trace is synthesized.
 
     Parameters
     ----------
@@ -164,11 +155,6 @@ class SyntheticTraceGenerator:
         self._rng = random.Random(
             zlib.crc32(profile.name.encode()) ^ (seed * 2_654_435_761) ^ thread_id
         )
-        self._state = _GeneratorState()
-        self._branch_sites: Dict[int, _BranchSite] = {}
-        self._recent_writers: List[int] = []
-        self._last_load_dst: Optional[int] = None
-        self._seq = 0
         self.shared_region_base = shared_region_base
         self.shared_region_size = shared_region_size or max(
             64 * 1024, profile.l2_working_set // 2
@@ -176,26 +162,52 @@ class SyntheticTraceGenerator:
         # Private data layout: hot region, L1-resident working set, L2-resident
         # working set, and a large streaming region, disjoint per thread.
         thread_stride = profile.data_footprint + profile.l2_working_set + (1 << 24)
-        self._data_base = _DATA_BASE + thread_id * thread_stride
+        data_base = _DATA_BASE + thread_id * thread_stride
         self._hot_size = 8 * 1024
         # Each thread (or program copy) gets its own stack and its own copy of
         # the code: co-scheduled copies must not warm each other's working
         # sets through the shared L2.
         self._stack_base = _STACK_BASE + thread_id * (1 << 16)
         self._code_base = _CODE_BASE + thread_id * (1 << 22)
-        self._state.pc = self._code_base
-        self._state.function_base = self._code_base
-        self._l1_ws_base = self._data_base
+        self._l1_ws_base = data_base
         self._l1_ws_size = max(4 * 1024, profile.l1_working_set)
-        self._l2_ws_base = self._data_base + (1 << 22)
+        self._l2_ws_base = data_base + (1 << 22)
         self._l2_ws_size = max(64 * 1024, profile.l2_working_set)
-        self._stream_base = self._data_base + (1 << 23)
-        self._streams = self._make_streams()
-        # Hot-function list for call-target locality.
-        self._hot_functions = self._make_hot_functions()
-        self._weights = self._mix_weights()
-        self._classes = list(self._weights.keys())
-        self._class_weights = list(self._weights.values())
+        # Sequential streams through the streaming region: each walks its own
+        # quarter of the footprint in 8-byte strides, wrapping at the end.
+        footprint = max(profile.data_footprint, 1 << 20)
+        stream_base = data_base + (1 << 23)
+        self._stream_bases = [
+            stream_base + (index * footprint) // _NUM_STREAMS
+            for index in range(_NUM_STREAMS)
+        ]
+        self._stream_length = max(footprint // _NUM_STREAMS, 4096)
+        self._stream_offsets = [0] * _NUM_STREAMS
+        # Hot-function bases used by most calls (code locality).
+        self._code_size = max(profile.code_footprint, _FUNCTION_SIZE)
+        self._hot_functions = [
+            self._code_base + self._rng.randrange(0, self._code_size, _FUNCTION_SIZE)
+            for _ in range(min(_NUM_HOT_FUNCTIONS, self._code_size // _FUNCTION_SIZE))
+        ]
+        # Instruction classes and their cumulative weights: one random() draw
+        # bisected into them is exactly random.choices(weights=...).  The
+        # profile-level serializing fraction overrides the mix's.
+        weights = profile.mix.normalized().as_weights()
+        weights[InstructionClass.SERIALIZING] = profile.serializing_fraction
+        self._classes = [int(klass) for klass in weights]
+        self._cum_weights = list(accumulate(weights.values()))
+        # Generator state carried from one emitted chunk to the next.
+        self._pc = self._code_base
+        self._function_base = self._code_base
+        self._block_remaining = 0
+        self._in_kernel = False
+        self._kernel_remaining = 0
+        self._call_stack: List[int] = []
+        # pc -> [loop trip count (0 = not a loop), trips left, bias, target]
+        self._branch_sites: Dict[int, list] = {}
+        self._recent_writers: List[int] = []
+        self._last_load_dst: Optional[int] = None
+        self._seq = 0
 
     # -- public API --------------------------------------------------------------
 
@@ -218,369 +230,274 @@ class SyntheticTraceGenerator:
         count = num_instructions if num_instructions is not None else self.profile.instructions
         if count <= 0:
             raise ValueError("number of instructions must be positive")
-        instructions: List[Instruction] = []
+        batch = TraceBatch()
         if include_init_phase:
-            instructions.extend(self._init_phase(budget=count // 5))
-        while len(instructions) < count:
-            instructions.append(self.next_instruction())
-        return ThreadTrace(instructions, thread_id=self.thread_id, name=self.profile.name)
+            self.emit_init_phase(batch, budget=count // 5)
+        self.emit(batch, count - len(batch.klass))
+        return ThreadTrace(batch.seal(), thread_id=self.thread_id, name=self.profile.name)
 
-    def _init_phase(self, budget: int) -> List[Instruction]:
-        """Emit the data-initialization sweep over the working sets.
+    def emit_init_phase(self, batch: TraceBatch, budget: int) -> None:
+        """Append the data-initialization sweep over the working sets.
 
         The sweep stores to every cache line of the hot region, the
         L1-resident working set and the L2-resident working set (in that
-        order), interleaved with the occasional integer instruction, and
-        stops when ``budget`` instructions have been emitted.
+        order) and stops when ``budget`` instructions have been appended.
+        It draws nothing from the generator's random stream.
         """
-        instructions: List[Instruction] = []
         if budget <= 0:
-            return instructions
-        line = 64
-        regions = (
+            return
+        addresses: List[int] = []
+        for base, size in (
             (self._stack_base, self._hot_size),
             (self._l1_ws_base, self._l1_ws_size),
             (self._l2_ws_base, self._l2_ws_size),
-        )
-        pc = self._code_base + 0x100
-        for base, size in regions:
-            for offset in range(0, size, line):
-                if len(instructions) >= budget:
-                    return instructions
-                instructions.append(
-                    Instruction(
-                        seq=self._seq,
-                        pc=pc,
-                        klass=InstructionClass.STORE,
-                        src_regs=(1,),
-                        dst_reg=None,
-                        mem_addr=base + offset,
-                        mem_size=8,
-                        thread_id=self.thread_id,
-                    )
-                )
-                self._seq += 1
-                pc += _INSTRUCTION_BYTES
-                if pc >= self._code_base + 0x3F0:
-                    pc = self._code_base + 0x100
-        return instructions
+        ):
+            addresses += range(base, base + size, _LINE_BYTES)[: budget - len(addresses)]
+        pc = self._code_base + _INIT_PC_OFFSET
+        pcs = [pc + 4 * (index % _INIT_PC_SLOTS) for index in range(len(addresses))]
+        seq = self._seq
+        self._seq = seq + len(addresses)
+        batch.append_records(range(seq, self._seq), _STORE, pcs, addresses, (1,))
 
-    def next_instruction(self) -> Instruction:
-        """Generate the next dynamic instruction of the stream."""
-        self._maybe_toggle_kernel()
+    def emit(self, batch: TraceBatch, count: int) -> None:
+        """Append the next ``count`` dynamic instructions to ``batch``.
 
-        klass = self._pick_class()
-        pc = self._next_pc()
-
-        if klass == InstructionClass.BRANCH or self._state.block_remaining <= 0:
-            instruction = self._make_branch(pc)
-        elif klass in (InstructionClass.LOAD, InstructionClass.STORE):
-            instruction = self._make_memory(pc, klass)
-        elif klass == InstructionClass.SERIALIZING:
-            instruction = Instruction(
-                seq=self._seq,
-                pc=pc,
-                klass=InstructionClass.SERIALIZING,
-                thread_id=self.thread_id,
-                is_kernel=self._state.in_kernel,
-            )
-        else:
-            instruction = self._make_compute(pc, klass)
-
-        self._record_writer(instruction.dst_reg)
-        instruction.seq = self._seq
-        self._seq += 1
-        self._state.block_remaining -= 1
-        return instruction
-
-    # -- internal helpers --------------------------------------------------------
-
-    def _mix_weights(self) -> Dict[InstructionClass, float]:
-        """Normalized instruction-class weights, with serializing override."""
-        mix = self.profile.mix.normalized()
-        weights = mix.as_weights()
-        # The profile-level serializing fraction overrides the mix's.
-        weights[InstructionClass.SERIALIZING] = self.profile.serializing_fraction
-        return weights
-
-    def _make_streams(self) -> List[_StrideStream]:
-        """Create a handful of stride streams over the streaming region."""
-        streams = []
-        footprint = max(self.profile.data_footprint, 1 << 20)
-        num_streams = 4
-        for index in range(num_streams):
-            base = self._stream_base + (index * footprint) // num_streams
-            length = max(footprint // num_streams, 4096)
-            stride = 8
-            streams.append(_StrideStream(base, length, stride))
-        return streams
-
-    def _make_hot_functions(self) -> List[int]:
-        """Pick the hot-function bases used by most calls (code locality)."""
-        base = self._code_base
-        size = max(self.profile.code_footprint, _FUNCTION_SIZE)
-        count = min(_NUM_HOT_FUNCTIONS, max(1, size // _FUNCTION_SIZE))
-        return [
-            base + self._rng.randrange(0, size, _FUNCTION_SIZE) for _ in range(count)
-        ]
-
-    def _pick_class(self) -> InstructionClass:
-        """Sample the next instruction class from the profile mix."""
-        return self._rng.choices(self._classes, weights=self._class_weights, k=1)[0]
-
-    def _maybe_toggle_kernel(self) -> None:
-        """Enter/leave kernel (OS) phases according to the kernel fraction."""
-        profile = self.profile
-        state = self._state
-        if state.in_kernel:
-            state.kernel_remaining -= 1
-            if state.kernel_remaining <= 0:
-                state.in_kernel = False
-                state.function_base = self._code_base
-                state.block_remaining = 0
-            return
-        if profile.kernel_fraction <= 0.0:
-            return
-        # Enter a kernel phase so that, on average, the requested fraction of
-        # instructions executes in kernel mode.  Kernel phases are bursts of
-        # a few hundred instructions (system call / interrupt handling).
-        mean_phase = 600.0
-        entry_probability = profile.kernel_fraction / mean_phase
-        if self._rng.random() < entry_probability:
-            state.in_kernel = True
-            state.kernel_remaining = int(self._rng.expovariate(1.0 / mean_phase)) + 100
-            state.function_base = _KERNEL_CODE_BASE + self._rng.randrange(
-                0, _KERNEL_CODE_FOOTPRINT, _FUNCTION_SIZE
-            )
-            state.block_remaining = 0
-
-    def _next_pc(self) -> int:
-        """Advance the program counter within the current basic block."""
-        state = self._state
-        if state.block_remaining <= 0:
-            self._start_new_block()
-        state.pc += _INSTRUCTION_BYTES
-        return state.pc
-
-    def _start_new_block(self) -> None:
-        """Begin a new basic block inside the current function."""
-        state = self._state
-        block_length = max(
-            2, int(self._rng.expovariate(1.0 / self.profile.mean_basic_block)) + 1
-        )
-        state.block_remaining = block_length
-        # Stay within the current function: pick an aligned offset.
-        state.pc = state.function_base + self._rng.randrange(
-            0, _FUNCTION_SIZE, _INSTRUCTION_BYTES
-        )
-
-    def _code_region(self) -> Tuple[int, int]:
-        """Return (base, size) of the active code region (user or kernel)."""
-        if self._state.in_kernel:
-            return _KERNEL_CODE_BASE, _KERNEL_CODE_FOOTPRINT
-        return self._code_base, max(self.profile.code_footprint, _FUNCTION_SIZE)
-
-    def _call_target(self) -> int:
-        """Pick a call target: a hot function most of the time."""
-        base, size = self._code_region()
-        if not self._state.in_kernel and self._rng.random() < self.profile.code_locality:
-            return self._rng.choice(self._hot_functions)
-        return base + self._rng.randrange(0, max(size, _FUNCTION_SIZE), _FUNCTION_SIZE)
-
-    def _make_branch(self, pc: int) -> Instruction:
-        """Generate a branch instruction, ending the current basic block."""
-        rng = self._rng
-        state = self._state
-        state.block_remaining = 0  # block ends here
-
-        site = self._branch_sites.get(pc)
-        if site is None:
-            site = self._new_branch_site(pc)
-            self._branch_sites[pc] = site
-
-        taken = site.outcome(rng)
-        is_call = False
-        is_return = False
-        target = site.target
-
-        # Occasionally make this branch a call or return to exercise the RAS
-        # and to move execution between functions (I-cache behaviour).
-        call_probability = 0.06
-        if rng.random() < call_probability and state.call_stack is not None:
-            if state.call_stack and rng.random() < 0.5:
-                is_return = True
-                target = state.call_stack.pop()
-                taken = True
-            else:
-                is_call = True
-                target = self._call_target()
-                state.call_stack.append(pc + _INSTRUCTION_BYTES)
-                taken = True
-
-        sources = self._pick_sources(1)
-        instruction = Instruction(
-            seq=self._seq,
-            pc=pc,
-            klass=InstructionClass.BRANCH,
-            src_regs=sources,
-            dst_reg=None,
-            is_taken=taken,
-            branch_target=target,
-            is_call=is_call,
-            is_return=is_return,
-            thread_id=self.thread_id,
-            is_kernel=state.in_kernel,
-        )
-        if taken:
-            if is_call or is_return:
-                state.function_base = target - (target % _FUNCTION_SIZE)
-            state.pc = target
-            state.block_remaining = 0
-        return instruction
-
-    def _new_branch_site(self, pc: int) -> _BranchSite:
-        """Assign a behaviour class to a newly seen static branch."""
-        rng = self._rng
-        profile = self.profile
-        roll = rng.random()
-        base, _ = self._code_region()
-        # Backward target (loop) or forward target within the function.
-        if roll < profile.loop_branch_fraction:
-            kind = "loop"
-            loop_count = max(1, int(rng.expovariate(1.0 / 12.0)))
-            target = max(base, pc - rng.randrange(16, 512, _INSTRUCTION_BYTES))
-            bias = 0.9
-        elif roll < profile.loop_branch_fraction + profile.hard_branch_fraction:
-            kind = "hard"
-            loop_count = 0
-            target = pc + rng.randrange(8, 256, _INSTRUCTION_BYTES)
-            bias = 0.35 + 0.3 * rng.random()  # 0.35..0.65: unpredictable
-        else:
-            kind = "biased"
-            loop_count = 0
-            target = pc + rng.randrange(8, 256, _INSTRUCTION_BYTES)
-            bias = 0.02 + 0.08 * rng.random() if rng.random() < 0.5 else 0.9 + 0.08 * rng.random()
-        return _BranchSite(kind, bias, loop_count, target)
-
-    def _make_memory(self, pc: int, klass: InstructionClass) -> Instruction:
-        """Generate a load or store with a profile-driven address."""
-        rng = self._rng
-        profile = self.profile
-        address = self._data_address()
-        pointer_chase = (
-            klass == InstructionClass.LOAD
-            and self._last_load_dst is not None
-            and rng.random() < profile.pointer_chase_fraction
-        )
-        if pointer_chase:
-            sources = (self._last_load_dst,) + self._pick_sources(0)
-            # A dependent (pointer-chasing) load goes to an unpredictable
-            # location in the larger working set: the next pointer is
-            # data-dependent, so it misses the L1 and serializes with the
-            # producing load.
-            address = self._l2_ws_base + rng.randrange(0, self._l2_ws_size, 8)
-        else:
-            sources = self._pick_sources(1)
-
-        dst_reg: Optional[int]
-        if klass == InstructionClass.LOAD:
-            dst_reg = self._pick_destination()
-            self._last_load_dst = dst_reg
-        else:
-            dst_reg = None
-            sources = sources + self._pick_sources(1)
-
-        return Instruction(
-            seq=self._seq,
-            pc=pc,
-            klass=klass,
-            src_regs=sources,
-            dst_reg=dst_reg,
-            mem_addr=address,
-            mem_size=8,
-            thread_id=self.thread_id,
-            is_kernel=self._state.in_kernel,
-        )
-
-    def _data_address(self) -> int:
-        """Sample a data address according to the profile's locality model."""
-        rng = self._rng
-        profile = self.profile
-        if self._state.in_kernel:
-            return _KERNEL_DATA_BASE + rng.randrange(0, _KERNEL_DATA_FOOTPRINT, 8)
-        # Shared-region accesses (multi-threaded workloads only).
-        if profile.shared_fraction > 0.0 and rng.random() < profile.shared_fraction:
-            return self.shared_region_base + rng.randrange(0, self.shared_region_size, 8)
-
-        roll = rng.random()
-        if roll < profile.hot_data_fraction:
-            # Hot region (stack / scalars): always L1-resident.
-            return self._stack_base + rng.randrange(0, self._hot_size, 8)
-        roll -= profile.hot_data_fraction
-        if roll < profile.l2_fraction:
-            # L2-resident working set: misses the L1, hits the L2 when the
-            # program runs alone.  Accesses are skewed (an eighth of the
-            # working set receives the majority of accesses) to keep TLB and
-            # L2 behaviour realistic.
-            if rng.random() < 0.6:
-                hot_eighth = max(4096, self._l2_ws_size // 8)
-                return self._l2_ws_base + rng.randrange(0, hot_eighth, 8)
-            return self._l2_ws_base + rng.randrange(0, self._l2_ws_size, 8)
-        roll -= profile.l2_fraction
-        if roll < profile.streaming_fraction:
-            # Streaming access: compulsory misses marching through memory.
-            return rng.choice(self._streams).next_address()
-        # L1-resident working set.
-        return self._l1_ws_base + rng.randrange(0, self._l1_ws_size, 8)
-
-    def _make_compute(self, pc: int, klass: InstructionClass) -> Instruction:
-        """Generate an ALU/FP instruction with register dependences."""
-        num_sources = 2 if self._rng.random() < 0.7 else 1
-        return Instruction(
-            seq=self._seq,
-            pc=pc,
-            klass=klass,
-            src_regs=self._pick_sources(num_sources),
-            dst_reg=self._pick_destination(),
-            thread_id=self.thread_id,
-            is_kernel=self._state.in_kernel,
-        )
-
-    def _pick_destination(self) -> int:
-        """Pick a destination architectural register (register 0 is reserved)."""
-        return self._rng.randrange(1, NUM_ARCH_REGISTERS)
-
-    def _pick_sources(self, count: int) -> Tuple[int, ...]:
-        """Pick source registers, preferring recently written registers.
-
-        The distance (in instructions) to the producing instruction follows a
-        geometric distribution with mean ``profile.dependence_distance``,
-        which shapes the dependence chains the old window sees.
+        This is the generator's one emission loop.  It appends ``count``
+        placeholder records and overwrites each in place, drawing from the
+        random stream exactly what ``random.Random``'s ``choices``,
+        ``randrange``, ``choice`` and ``expovariate`` would, in the same
+        order, so every trace is the same for a given ``(profile, seed)``.
+        Calling it repeatedly continues the same stream.
         """
-        sources: List[int] = []
-        rng = self._rng
-        mean_distance = self.profile.dependence_distance
-        for source_index in range(count):
-            # The first source has a good chance of naming a recent producer
-            # (real code consumes freshly computed values); additional sources
-            # are mostly loop-invariant or long-lived values, which keeps the
-            # dependence graph from collapsing into a single serial chain.
-            recent_probability = 0.55 if source_index == 0 else 0.30
-            if self._recent_writers and rng.random() < recent_probability:
-                distance = int(rng.expovariate(1.0 / mean_distance)) + 1
-                index = min(distance, len(self._recent_writers))
-                sources.append(self._recent_writers[-index])
-            else:
-                sources.append(rng.randrange(1, NUM_ARCH_REGISTERS))
-        return tuple(sources)
-
-    def _record_writer(self, dst_reg: Optional[int]) -> None:
-        """Remember the destination register of the generated instruction."""
-        if dst_reg is None:
+        if count <= 0:
             return
-        self._recent_writers.append(dst_reg)
-        if len(self._recent_writers) > 256:
-            del self._recent_writers[:128]
+        start = len(batch.klass)
+        seq = self._seq
+        self._seq = seq + count
+        batch.append_records(range(seq, seq + count), 0, [0] * count, [None] * count)
+        klass_col, pc_col, addr_col = batch.klass, batch.pc, batch.mem_addr
+        src_col, dst_col = batch.src_regs, batch.dst_reg
+        taken_col, target_col = batch.is_taken, batch.branch_target
+        call_col, return_col, kernel_col = batch.is_call, batch.is_return, batch.is_kernel
+        profile = self.profile
+        rng = self._rng
+        random_ = rng.random
+        getrandbits = rng.getrandbits
+        classes = self._classes
+        cum_weights = self._cum_weights
+        total = cum_weights[-1] + 0.0
+        last_class = len(cum_weights) - 1
+        code_base = self._code_base
+        block_lambd = 1.0 / profile.mean_basic_block
+        kernel_on = profile.kernel_fraction > 0.0
+        kernel_entry = profile.kernel_fraction / _MEAN_KERNEL_PHASE
+        kernel_functions = _slots(_KERNEL_CODE_FOOTPRINT, _FUNCTION_SIZE)
+        sites = self._branch_sites
+        call_stack = self._call_stack
+        chase_fraction = profile.pointer_chase_fraction
+        shared_fraction = profile.shared_fraction
+        shared_base = self.shared_region_base
+        shared_words = _slots(self.shared_region_size, _WORD_BYTES)
+        hot_fraction = profile.hot_data_fraction
+        stack_base = self._stack_base
+        hot_words = _slots(self._hot_size, _WORD_BYTES)
+        l2_fraction = profile.l2_fraction
+        l2_base = self._l2_ws_base
+        l2_words = _slots(self._l2_ws_size, _WORD_BYTES)
+        # An eighth of the L2 working set receives most of its accesses,
+        # which keeps TLB and L2 behaviour realistic.
+        l2_hot_words = _slots(max(4096, self._l2_ws_size // 8), _WORD_BYTES)
+        streaming_fraction = profile.streaming_fraction
+        stream_bases = self._stream_bases
+        stream_offsets = self._stream_offsets
+        stream_length = self._stream_length
+        l1_base = self._l1_ws_base
+        l1_words = _slots(self._l1_ws_size, _WORD_BYTES)
+        recent = self._recent_writers
+        dep_lambd = 1.0 / profile.dependence_distance
+
+        def source(recent_probability: float) -> int:
+            """One source register, preferring recently written registers.
+
+            The distance (in instructions) to the producer is geometric with
+            mean ``profile.dependence_distance``, which shapes the dependence
+            chains the old window sees.
+            """
+            if recent and random_() < recent_probability:
+                distance = int(-log(1.0 - random_()) / dep_lambd) + 1
+                held = len(recent)
+                return recent[-(distance if distance < held else held)]
+            r = getrandbits(_REG_BITS)
+            while r >= _NUM_REGS:
+                r = getrandbits(_REG_BITS)
+            return r + 1
+
+        pc = self._pc
+        function_base = self._function_base
+        block_remaining = self._block_remaining
+        in_kernel = self._in_kernel
+        kernel_remaining = self._kernel_remaining
+        last_load_dst = self._last_load_dst
+        for i in range(start, start + count):
+            # -- kernel (OS) phases, entered so that on average the profile's
+            # kernel fraction of instructions runs in kernel mode --
+            if in_kernel:
+                kernel_remaining -= 1
+                if kernel_remaining <= 0:
+                    in_kernel = False
+                    function_base = code_base
+                    block_remaining = 0
+            elif kernel_on and random_() < kernel_entry:
+                in_kernel = True
+                kernel_remaining = int(-log(1.0 - random_()) / (1.0 / _MEAN_KERNEL_PHASE)) + 100
+                function_base = _KERNEL_CODE_BASE + _FUNCTION_SIZE * _randbelow(
+                    getrandbits, kernel_functions
+                )
+                block_remaining = 0
+
+            code = classes[bisect(cum_weights, random_() * total, 0, last_class)]
+            # -- the PC advances within the basic block; a new block starts at
+            # an aligned offset inside the current function --
+            if block_remaining <= 0:
+                block_remaining = max(2, int(-log(1.0 - random_()) / block_lambd) + 1)
+                pc = function_base + _INSTRUCTION_BYTES * _randbelow(
+                    getrandbits, _FUNCTION_SIZE // _INSTRUCTION_BYTES
+                )
+            pc += _INSTRUCTION_BYTES
+            klass_col[i] = code
+            pc_col[i] = pc
+            if in_kernel:
+                kernel_col[i] = 1
+
+            if code == _BRANCH:
+                # -- a branch ends the basic block; each static site is a
+                # loop, a hard (data-dependent) or a biased branch --
+                site = sites.get(pc)
+                if site is None:
+                    # Loops jump back 16..508 bytes, other sites forward 8..252.
+                    roll = random_()
+                    if roll < profile.loop_branch_fraction:
+                        trips = max(1, int(-log(1.0 - random_()) / (1.0 / 12.0)))
+                        back = 16 + 4 * _randbelow(getrandbits, _slots(512 - 16, 4))
+                        base = _KERNEL_CODE_BASE if in_kernel else code_base
+                        site = [trips, trips, 0.9, max(base, pc - back)]
+                    else:
+                        target = pc + 8 + 4 * _randbelow(getrandbits, _slots(256 - 8, 4))
+                        if roll < profile.loop_branch_fraction + profile.hard_branch_fraction:
+                            bias = 0.35 + 0.3 * random_()
+                        elif random_() < 0.5:
+                            bias = 0.02 + 0.08 * random_()
+                        else:
+                            bias = 0.9 + 0.08 * random_()
+                        site = [0, 0, bias, target]
+                    sites[pc] = site
+                trips = site[0]
+                if not trips:
+                    taken = random_() < site[2]
+                elif site[1] > 0:
+                    site[1] -= 1
+                    taken = True
+                else:
+                    site[1] = trips
+                    taken = False
+                target = site[3]
+                # Occasionally a call or a return: exercises the RAS and moves
+                # execution between functions (I-cache behaviour).
+                if random_() < _CALL_PROBABILITY:
+                    if call_stack and random_() < 0.5:
+                        target = call_stack.pop()
+                        return_col[i] = 1
+                    else:
+                        hot_functions = self._hot_functions
+                        if not in_kernel and random_() < profile.code_locality:
+                            target = hot_functions[_randbelow(getrandbits, len(hot_functions))]
+                        elif in_kernel:
+                            target = _KERNEL_CODE_BASE + _FUNCTION_SIZE * _randbelow(
+                                getrandbits, kernel_functions
+                            )
+                        else:
+                            target = code_base + _FUNCTION_SIZE * _randbelow(
+                                getrandbits, _slots(self._code_size, _FUNCTION_SIZE)
+                            )
+                        call_stack.append(pc + _INSTRUCTION_BYTES)
+                        call_col[i] = 1
+                    taken = True
+                    function_base = target - target % _FUNCTION_SIZE
+                src_col[i] = (source(0.55),)
+                taken_col[i] = taken
+                target_col[i] = target
+                block_remaining = 0
+            elif code == _LOAD or code == _STORE:
+                # -- data address from the profile's locality model --
+                if in_kernel:
+                    address = _KERNEL_DATA_BASE + _WORD_BYTES * _randbelow(
+                        getrandbits, _slots(_KERNEL_DATA_FOOTPRINT, _WORD_BYTES)
+                    )
+                elif shared_fraction > 0.0 and random_() < shared_fraction:
+                    address = shared_base + _WORD_BYTES * _randbelow(getrandbits, shared_words)
+                else:
+                    roll = random_()
+                    if roll < hot_fraction:
+                        # Hot region (stack / scalars): always L1-resident.
+                        address = stack_base + _WORD_BYTES * _randbelow(getrandbits, hot_words)
+                    elif roll - hot_fraction < l2_fraction:
+                        # L2-resident working set: misses the L1, hits the L2
+                        # when the program runs alone.
+                        if random_() < 0.6:
+                            address = l2_base + _WORD_BYTES * _randbelow(getrandbits, l2_hot_words)
+                        else:
+                            address = l2_base + _WORD_BYTES * _randbelow(getrandbits, l2_words)
+                    elif roll - hot_fraction - l2_fraction < streaming_fraction:
+                        # Streaming: compulsory misses marching through memory.
+                        stream = _randbelow(getrandbits, _NUM_STREAMS)
+                        offset = stream_offsets[stream]
+                        address = stream_bases[stream] + offset
+                        stream_offsets[stream] = (offset + _WORD_BYTES) % stream_length
+                    else:
+                        # L1-resident working set.
+                        address = l1_base + _WORD_BYTES * _randbelow(getrandbits, l1_words)
+                if code == _LOAD:
+                    if last_load_dst is not None and random_() < chase_fraction:
+                        # A dependent (pointer-chasing) load goes to an
+                        # unpredictable location in the larger working set: it
+                        # misses the L1 and serializes with its producer.
+                        src_col[i] = (last_load_dst,)
+                        address = l2_base + _WORD_BYTES * _randbelow(getrandbits, l2_words)
+                    else:
+                        src_col[i] = (source(0.55),)
+                    r = getrandbits(_REG_BITS)
+                    while r >= _NUM_REGS:
+                        r = getrandbits(_REG_BITS)
+                    last_load_dst = dst_col[i] = r + 1
+                    recent.append(r + 1)
+                    if len(recent) > 256:
+                        del recent[:128]
+                else:
+                    src_col[i] = (source(0.55), source(0.55))
+                addr_col[i] = address
+            elif code != _SERIALIZING:
+                # -- ALU/FP operation with register dependences: the first
+                # source often names a fresh producer, a second one is mostly
+                # a long-lived value --
+                if random_() < 0.7:
+                    src_col[i] = (source(0.55), source(0.30))
+                else:
+                    src_col[i] = (source(0.55),)
+                r = getrandbits(_REG_BITS)
+                while r >= _NUM_REGS:
+                    r = getrandbits(_REG_BITS)
+                dst_col[i] = r + 1
+                recent.append(r + 1)
+                if len(recent) > 256:
+                    del recent[:128]
+            block_remaining -= 1
+
+        self._pc = pc
+        self._function_base = function_base
+        self._block_remaining = block_remaining
+        self._in_kernel = in_kernel
+        self._kernel_remaining = kernel_remaining
+        self._last_load_dst = last_load_dst
 
 
 def generate_trace(

@@ -136,6 +136,25 @@ class TestInProcessCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
 
+    @pytest.mark.parametrize(
+        "workload",
+        [
+            ["--kind", "single", "--benchmark", "gcc"],
+            ["--kind", "multiprogram", "--benchmark", "gcc", "--copies", "2"],
+            ["--kind", "multithreaded", "--benchmark", "blackscholes", "--copies", "2"],
+        ],
+    )
+    @pytest.mark.parametrize("instructions", ["0", "-5"])
+    def test_non_positive_instructions_is_a_one_line_error(
+        self, workload, instructions, capsys
+    ):
+        code = main(["run", "--simulator", "interval", *workload,
+                     "--instructions", instructions])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "instructions must be at least 1" in err
+
     def test_figure_smoke(self, capsys):
         code = main(["figure", "5", "--preset", "quick", "--benchmarks", "gcc"])
         assert code == 0

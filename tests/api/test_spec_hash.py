@@ -102,6 +102,37 @@ class TestSpecBudgets:
         spec = _spec(warmup_instructions=0, max_cycles=1)
         assert SweepSpec.from_dict(spec.to_dict()) == spec
 
+    @pytest.mark.parametrize("instructions", [0, -1])
+    @pytest.mark.parametrize(
+        "workload",
+        [
+            {"kind": "single", "benchmark": "gcc"},
+            {"kind": "multiprogram", "benchmark": "gcc", "copies": 2},
+            {"kind": "multithreaded", "benchmark": "blackscholes", "copies": 2},
+            {"kind": "heterogeneous", "benchmarks": ("gcc", "mcf")},
+        ],
+    )
+    def test_non_positive_instruction_budget_is_rejected(self, workload, instructions):
+        # Only None selects the profile default; 0 must not silently become it.
+        with pytest.raises(ValueError, match="instructions must be at least 1"):
+            WorkloadSpec(**workload, instructions=instructions)
+        encoded = _spec().to_dict()
+        encoded["workload"] = {**encoded["workload"], "instructions": instructions}
+        with pytest.raises(ValueError, match="instructions must be at least 1"):
+            SweepSpec.from_dict(encoded)
+
+    def test_session_multithreaded_zero_budget_is_rejected(self):
+        from repro.api.session import Session
+
+        with pytest.raises(ValueError, match="instructions must be at least 1"):
+            Session().multithreaded("blackscholes", 2, total_instructions=0)
+
+    def test_unset_and_minimal_budgets_are_accepted(self):
+        assert WorkloadSpec(benchmark="gcc").instructions is None
+        workload = WorkloadSpec(kind="multithreaded", benchmark="blackscholes", copies=2,
+                                instructions=1)
+        assert SweepSpec.from_dict(_spec(workload=workload).to_dict()).workload == workload
+
 
 class TestSpecHash:
     def test_option_insertion_order_is_canonicalized(self):

@@ -4,10 +4,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api.session import Session
 from repro.common.isa import Instruction, InstructionClass, SyncKind
-from repro.trace.columnar import FLAG_NO_FETCH, KLASS_PLAIN, LINE_SHIFT, TraceBatch
+from repro.trace.columnar import (
+    FLAG_NO_FETCH,
+    KLASS_PLAIN,
+    LINE_SHIFT,
+    LazyInstructions,
+    TraceBatch,
+)
 from repro.trace.stream import ThreadTrace
-from repro.trace.workloads import single_threaded_workload
+from repro.trace.workloads import multithreaded_workload, single_threaded_workload
 
 
 def _mixed_instructions():
@@ -89,6 +96,68 @@ class TestTraceBatchCaching:
             assert batch.pc[position] == instruction.pc
             assert batch.klass[position] == int(instruction.klass)
             assert batch.mem_addr[position] == instruction.mem_addr
+
+
+def _slot_values(instruction):
+    return tuple(getattr(instruction, slot) for slot in Instruction.__slots__)
+
+
+_BRANCH = int(InstructionClass.BRANCH)
+
+
+class TestLazyMaterialization:
+    def test_hand_built_trace_keeps_the_callers_objects(self):
+        instructions = _mixed_instructions()
+        instructions[1].is_kernel = True
+        instructions[3].is_call = True
+        instructions[4].is_return = True
+        trace = ThreadTrace(instructions, thread_id=2)
+        assert all(trace[i] is instructions[i] for i in range(len(instructions)))
+        assert all(built is given for built, given in zip(trace, instructions))
+        # The columns hold every field: an instruction rebuilt from them
+        # equals the caller's object slot for slot.
+        rebuilt = LazyInstructions(trace.batch())
+        for position, original in enumerate(instructions):
+            assert original.thread_id == 2
+            assert _slot_values(rebuilt[position]) == _slot_values(original)
+
+    def test_synthesized_instructions_are_built_once_on_access(self):
+        trace = single_threaded_workload("gcc", instructions=500, seed=3).traces[0]
+        lazy = trace.batch().instructions
+        assert isinstance(lazy, LazyInstructions)
+        assert lazy.built_positions() == []
+        assert trace[7] is trace[7]
+        assert lazy.built_positions() == [7]
+        assert list(trace)[7] is trace[7]
+        assert trace[7].thread_id == trace.thread_id
+
+    @pytest.mark.parametrize("model", ["interval", "oneipc"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: single_threaded_workload("gcc", instructions=4_000, seed=3),
+            lambda: multithreaded_workload("fluidanimate", 2, total_instructions=6_000),
+        ],
+    )
+    def test_kernels_and_warmup_build_only_branches(self, model, build):
+        workload = build()
+        session = Session().cores(len(workload.traces)).simulator(model)
+        session.workload(workload).warmup(1_000).run()
+        for trace in workload.traces:
+            batch = trace.batch()
+            built = batch.instructions.built_positions()
+            assert built, "the branch predictors read no instruction"
+            assert all(batch.klass[position] == _BRANCH for position in built)
+
+    def test_detailed_builds_every_fetched_position(self):
+        workload = single_threaded_workload("gcc", instructions=3_000, seed=3)
+        Session().simulator("detailed").workload(workload).warmup(1_000).run()
+        batch = workload.traces[0].batch()
+        built = set(batch.instructions.built_positions())
+        # Functional warm-up reads only branches; detailed then fetches the
+        # whole timed region.
+        assert set(range(1_000, batch.length)) <= built
+        assert all(batch.klass[position] == _BRANCH for position in built if position < 1_000)
 
 
 class TestCursorAdvance:
