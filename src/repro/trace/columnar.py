@@ -75,10 +75,18 @@ class LazyInstructions:
     with one slot per position.
     """
 
-    __slots__ = ("_batch", "_built")
+    __slots__ = ("_columns", "_thread_id", "_built")
 
-    def __init__(self, batch: "TraceBatch") -> None:
-        self._batch = batch
+    def __init__(self, batch: "TraceBatch", thread_id: int) -> None:
+        # The columns rather than the batch: the batch holds this view, and a
+        # reference back would make a cycle that only the cyclic garbage
+        # collector frees, keeping dropped traces in memory meanwhile.
+        self._columns = (
+            batch.seq, batch.pc, batch.klass, batch.src_regs, batch.dst_reg,
+            batch.mem_addr, batch.is_taken, batch.branch_target, batch.is_call,
+            batch.is_return, batch.sync_kind, batch.sync_object, batch.is_kernel,
+        )
+        self._thread_id = thread_id
         self._built: List[Optional[Instruction]] = [None] * batch.length
 
     def __len__(self) -> int:
@@ -91,23 +99,15 @@ class LazyInstructions:
         return built
 
     def _build(self, pos: int) -> Instruction:
-        batch = self._batch
+        seq, pc, klass, src, dst, addr, taken, target, call, ret, sync, obj, kernel = (
+            self._columns
+        )
+        # Positional, in Instruction.__init__'s order: keywords cost more.
         return Instruction(
-            batch.seq[pos],
-            batch.pc[pos],
-            _CLASSES[batch.klass[pos]],
-            batch.src_regs[pos],
-            batch.dst_reg[pos],
-            batch.mem_addr[pos],
+            seq[pos], pc[pos], _CLASSES[klass[pos]], src[pos], dst[pos], addr[pos],
             8,  # mem_size: every synthesized access is one 8-byte word
-            batch.is_taken[pos],
-            batch.branch_target[pos],
-            batch.is_call[pos] == 1,
-            batch.is_return[pos] == 1,
-            _SYNC_KINDS[batch.sync_kind[pos]],
-            batch.sync_object[pos],
-            batch.thread_id,
-            batch.is_kernel[pos] == 1,
+            taken[pos], target[pos], call[pos] == 1, ret[pos] == 1,
+            _SYNC_KINDS[sync[pos]], obj[pos], self._thread_id, kernel[pos] == 1,
         )
 
     def __iter__(self) -> Iterator[Instruction]:
@@ -131,12 +131,11 @@ class TraceBatch:
     ----------
     instructions:
         ``instructions[pos]`` is the :class:`~repro.common.isa.Instruction`
-        at ``pos``.  For a hand-built batch this is the caller's own list;
-        for a synthesized one it is a :class:`LazyInstructions` that builds
-        each object on first access and caches it, so ``instructions[pos]
-        is instructions[pos]``.
-    thread_id:
-        Thread stamped on built instructions (set by the owning trace).
+        at ``pos``.  For a hand-built batch this is the caller's own list.
+        A synthesized batch gets a :class:`LazyInstructions` from the
+        :class:`~repro.trace.stream.ThreadTrace` that wraps it (``None``
+        until then); it builds each object on first access and caches it,
+        so ``instructions[pos] is instructions[pos]``.
     seq:
         Per-thread dynamic sequence numbers.
     klass:
@@ -161,7 +160,7 @@ class TraceBatch:
     """
 
     __slots__ = (
-        "instructions", "thread_id", "seq", "klass", "pc", "mem_addr", "mem_line",
+        "instructions", "seq", "klass", "pc", "mem_addr", "mem_line",
         "src_regs", "dst_reg", "sync_kind", "sync_object", "is_taken",
         "branch_target", "is_call", "is_return", "is_kernel",
         "fetch_skip_template", "has_sync", "length", "_plain_run_ends", "_line_runs",
@@ -171,7 +170,6 @@ class TraceBatch:
         if instructions is not None and not isinstance(instructions, list):
             instructions = list(instructions)
         self.instructions = instructions
-        self.thread_id = 0
         # Per-column list comprehensions keep the conversion a handful of
         # tight loops; it runs once per hand-built trace.
         ins = instructions or ()
@@ -227,9 +225,8 @@ class TraceBatch:
     def seal(self) -> "TraceBatch":
         """Derive the read-side columns once the source columns are complete.
 
-        Builds ``mem_line``, ``has_sync`` and the fetch-skip template, drops
-        the cached run columns, and gives a synthesized batch its lazily
-        built :attr:`instructions`.  Returns the batch.
+        Builds ``mem_line``, ``has_sync`` and the fetch-skip template and
+        drops the cached run columns.  Returns the batch.
         """
         self.length = len(self.klass)
         self._plain_run_ends: Optional[List[int]] = None
@@ -255,8 +252,6 @@ class TraceBatch:
                     if code == sync_code:
                         template[position] = FLAG_NO_FETCH
         self.fetch_skip_template = template
-        if not isinstance(self.instructions, list):
-            self.instructions = LazyInstructions(self)
         return self
 
     def __len__(self) -> int:

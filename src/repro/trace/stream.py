@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Union
 
 from ..common.isa import Instruction
-from .columnar import TraceBatch
+from .columnar import LazyInstructions, TraceBatch
 
 __all__ = ["ThreadTrace", "TraceCursor", "Workload"]
 
@@ -31,9 +31,10 @@ class ThreadTrace:
     A trace wraps the :class:`~repro.trace.columnar.TraceBatch` that stores
     its instructions, in commit order, as columns.  Timing simulators consume
     it in order through a :class:`TraceCursor`.  ``ThreadTrace(batch)`` wraps
-    a sealed batch; ``ThreadTrace(instructions)`` builds a trace by hand: it
-    stamps ``thread_id`` on the caller's objects, converts them to columns
-    once and keeps the objects, so ``trace[i]`` returns them.
+    a sealed synthesized batch and gives it its lazily built instructions.
+    ``ThreadTrace(instructions)`` builds a trace by hand: it stamps
+    ``thread_id`` on the caller's objects, converts them to columns once and
+    keeps the objects, so ``trace[i]`` returns them.
     """
 
     def __init__(
@@ -44,12 +45,13 @@ class ThreadTrace:
     ) -> None:
         if isinstance(instructions, TraceBatch):
             batch = instructions
+            if batch.instructions is None:
+                batch.instructions = LazyInstructions(batch, thread_id)
         else:
             objects = list(instructions)
             for instruction in objects:
                 instruction.thread_id = thread_id
             batch = TraceBatch(objects)
-        batch.thread_id = thread_id
         self._batch = batch
         self.thread_id = thread_id
         self.name = name or f"thread{thread_id}"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.api.session import Session
@@ -116,7 +118,7 @@ class TestLazyMaterialization:
         assert all(built is given for built, given in zip(trace, instructions))
         # The columns hold every field: an instruction rebuilt from them
         # equals the caller's object slot for slot.
-        rebuilt = LazyInstructions(trace.batch())
+        rebuilt = LazyInstructions(trace.batch(), trace.thread_id)
         for position, original in enumerate(instructions):
             assert original.thread_id == 2
             assert _slot_values(rebuilt[position]) == _slot_values(original)
@@ -130,6 +132,19 @@ class TestLazyMaterialization:
         assert lazy.built_positions() == [7]
         assert list(trace)[7] is trace[7]
         assert trace[7].thread_id == trace.thread_id
+
+    def test_dropped_trace_is_freed_without_the_cycle_collector(self):
+        # A reference cycle between a batch and its instruction view would
+        # keep every dropped trace in memory until the cyclic collector ran.
+        gc.collect()
+        gc.disable()
+        try:
+            workload = multithreaded_workload("vips", 2, total_instructions=3_000)
+            assert workload.traces[0][5] is workload.traces[0][5]
+            del workload
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("model", ["interval", "oneipc"])
     @pytest.mark.parametrize(
