@@ -203,7 +203,8 @@ class SyntheticTraceGenerator:
         self._in_kernel = False
         self._kernel_remaining = 0
         self._call_stack: List[int] = []
-        # pc -> [loop trip count (0 = not a loop), trips left, bias, target]
+        # pc -> [loop trip count (0 = not a loop), trips left, taken bias
+        # (unused by loops), target]
         self._branch_sites: Dict[int, list] = {}
         self._recent_writers: List[int] = []
         self._last_load_dst: Optional[int] = None
@@ -380,7 +381,7 @@ class SyntheticTraceGenerator:
                         trips = max(1, int(-log(1.0 - random_()) / (1.0 / 12.0)))
                         back = 16 + 4 * _randbelow(getrandbits, _slots(512 - 16, 4))
                         base = _KERNEL_CODE_BASE if in_kernel else code_base
-                        site = [trips, trips, 0.9, max(base, pc - back)]
+                        site = [trips, trips, 0.0, max(base, pc - back)]
                     else:
                         target = pc + 8 + 4 * _randbelow(getrandbits, _slots(256 - 8, 4))
                         if roll < profile.loop_branch_fraction + profile.hard_branch_fraction:

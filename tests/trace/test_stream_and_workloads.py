@@ -184,7 +184,6 @@ class TestMultithreadedGeneration:
 
     @pytest.mark.parametrize("budget", [0, -1])
     def test_non_positive_total_is_rejected_not_replaced(self, budget):
-        # Only None selects profile.instructions; a zero budget used to be
-        # silently replaced by it.
+        # Only None selects profile.instructions; a zero budget is an error.
         with pytest.raises(ValueError, match="must be positive"):
             generate_multithreaded_workload(parsec_profile("vips"), 2, total_instructions=budget)
