@@ -663,11 +663,11 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
 
 def run_bench_command(args: argparse.Namespace) -> int:
     """Execute the benchmark suite described by parsed CLI flags."""
-    from .cli import _parse_fault_plan
+    from .cli import UsageError, _parse_fault_plan
 
     simulators = [name.strip() for name in args.simulators.split(",") if name.strip()]
     if not simulators:
-        raise SystemExit("error: --simulators needs at least one name")
+        raise UsageError("--simulators needs at least one name")
     fault_plan = _parse_fault_plan(getattr(args, "faults", None))
     if args.benchmark:
         # Ad-hoc single-threaded benchmark: one-shape (legacy) report.
@@ -690,11 +690,11 @@ def run_bench_command(args: argparse.Namespace) -> int:
                 name.strip() for name in shape_arg.split(",") if name.strip()
             )
             if not shapes:
-                raise SystemExit("error: --shape needs at least one shape name")
+                raise UsageError("--shape needs at least one shape name")
             for name in shapes:
                 if name not in BENCH_SHAPES:
-                    raise SystemExit(
-                        f"error: unknown bench shape {name!r} "
+                    raise UsageError(
+                        f"unknown bench shape {name!r} "
                         f"(known: {', '.join(BENCH_SHAPES)})"
                     )
         report = run_multi_shape_suite(

@@ -259,13 +259,29 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class UsageError(SystemExit):
+    """Malformed command-line input: exit status 2 with a one-line message.
+
+    :func:`main` prints ``error: <message>`` to stderr and re-raises, so the
+    interpreter exits 2 without printing anything further.  ``str()`` is the
+    message itself.
+    """
+
+    def __init__(self, message: str) -> None:
+        super().__init__(2)
+        self.message = message
+
+    def __str__(self) -> str:
+        return self.message
+
+
 def _parse_options(pairs: Sequence[str]) -> Dict[str, str]:
     """Parse repeated ``-o key=value`` flags into a dictionary."""
     options: Dict[str, str] = {}
     for pair in pairs:
         key, separator, value = pair.partition("=")
         if not separator or not key:
-            raise SystemExit(f"error: option {pair!r} is not of the form KEY=VALUE")
+            raise UsageError(f"option {pair!r} is not of the form KEY=VALUE")
         options[key.strip()] = value.strip()
     return options
 
@@ -292,8 +308,8 @@ def _parse_fault_plan(value: Optional[str]):
 def _spec_from_args(args: argparse.Namespace, simulator: str, options=None) -> SweepSpec:
     """Build a SweepSpec from the shared workload/budget flags."""
     if args.kind == "single" and args.copies != 1:
-        raise SystemExit(
-            "error: --copies only applies to --kind multiprogram/multithreaded"
+        raise UsageError(
+            "--copies only applies to --kind multiprogram/multithreaded"
         )
     workload = WorkloadSpec(
         kind=args.kind,
@@ -369,7 +385,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     names = [name.strip() for name in args.simulators.split(",") if name.strip()]
     if not names:
-        raise SystemExit("error: --simulators needs at least one name")
+        raise UsageError("--simulators needs at least one name")
     specs: List[SweepSpec] = []
     for name in names:
         get_simulator(name)  # fail early on unknown names
@@ -468,7 +484,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
     names = [name.strip() for name in args.simulators.split(",") if name.strip()]
     if not names:
-        raise SystemExit("error: --simulators needs at least one name")
+        raise UsageError("--simulators needs at least one name")
     specs: List[SweepSpec] = []
     for name in names:
         get_simulator(name)  # fail early on unknown names, before connecting
@@ -520,8 +536,8 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     if args.connect:
         address, separator, port_text = args.connect.rpartition(":")
         if not separator or not address or not port_text.isdigit():
-            raise SystemExit(
-                f"error: --connect expects HOST:PORT, got {args.connect!r}"
+            raise UsageError(
+                f"--connect expects HOST:PORT, got {args.connect!r}"
             )
         host, port = address, int(port_text)
     return run_worker(host=host, port=port, workers=args.workers)
@@ -584,6 +600,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise
     except (UnknownSimulatorError, InvalidOptionError, ValueError, KeyError, OSError) as exc:
         # ValueError/KeyError are how the workload and figure layers report
         # bad user input (unknown benchmark, wrong suite for a figure); they

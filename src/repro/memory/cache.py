@@ -106,9 +106,12 @@ class SetAssociativeCache:
     """A set-associative cache with LRU replacement and MOESI line states.
 
     The cache stores only tags and states (no data), which is all a timing
-    simulator needs.  Coherence transitions are applied by the snooping bus
-    (:mod:`repro.memory.coherence`) through :meth:`set_state`,
-    :meth:`invalidate_line` and :meth:`downgrade_line`.
+    simulator needs.  The coherence controller (:mod:`repro.memory.coherence`)
+    applies its transitions directly to the lines :meth:`probe` returns,
+    counting each one in :attr:`stats` (``invalidations_received``,
+    ``coherence_downgrades``).  An L1d the controller adopts
+    (:meth:`track_sharers`) also keeps the controller's sharer map current
+    on every :meth:`fill`.
     """
 
     def __init__(self, config: CacheConfig, name: str = "cache", level: int = 1) -> None:
@@ -121,6 +124,11 @@ class SetAssociativeCache:
         # Per-set line lists, allocated lazily on first fill: a shared L2 has
         # thousands of sets, most never touched in short simulations.
         self._sets: List[Optional[List[CacheLine]]] = [None] * self._num_sets
+        # Sharer map (block number -> core bitmask) of the coherence
+        # controller that adopted this cache (see track_sharers), and this
+        # cache's bit in it; None otherwise.
+        self._sharers: Optional[Dict[int, int]] = None
+        self._sharer_bit = 0
 
     # -- address helpers ---------------------------------------------------------
 
@@ -179,7 +187,8 @@ class SetAssociativeCache:
         """Insert a line after a miss; returns the evicted line, if any.
 
         The evicted line is returned so the caller can issue a write-back when
-        it is dirty (Modified/Owned).
+        it is dirty (Modified/Owned).  On an adopted cache the filled line's
+        sharer bit is set and the evicted line's bit cleared.
         """
         block = address >> self._offset_bits
         tag = block // self._num_sets
@@ -187,6 +196,9 @@ class SetAssociativeCache:
         entry_set = self._sets[index]
         if entry_set is None:
             entry_set = self._sets[index] = []
+        sharers = self._sharers
+        if sharers is not None:
+            sharers[block] = sharers.get(block, 0) | self._sharer_bit
         # One pass resolves both questions: an existing (possibly invalid)
         # line with this tag, and otherwise the first invalid line to reuse.
         invalid_at = -1
@@ -212,6 +224,13 @@ class SetAssociativeCache:
                 # Dirty (Modified/Owned) states sort above the clean ones.
                 if victim.state >= CoherenceState.OWNED:
                     self.stats.writebacks += 1
+                if sharers is not None:
+                    victim_block = victim.tag * self._num_sets + index
+                    remaining = sharers.get(victim_block, 0) & ~self._sharer_bit
+                    if remaining:
+                        sharers[victim_block] = remaining
+                    else:
+                        sharers.pop(victim_block, None)
         entry_set.append(CacheLine(tag=tag, state=state))
         return victim
 
@@ -245,6 +264,26 @@ class SetAssociativeCache:
         return victim
 
     # -- coherence hooks ---------------------------------------------------------
+
+    def track_sharers(self, sharers: Dict[int, int], bit: int) -> None:
+        """Keep ``bit`` of ``sharers[block]`` set for every resident line.
+
+        ``block`` is the line address shifted right by the offset bits.
+        Called by the coherence controller that owns this L1d.  The map is
+        seeded from the lines resident now; from then on :meth:`fill` sets
+        the bit of the line it installs and clears the bit of the line it
+        evicts, and the controller clears the bits of the copies it
+        invalidates.  Lines that leave the cache any other way
+        (:meth:`drop_line`, :meth:`flush`, a direct :meth:`invalidate_line`)
+        leave a stale bit behind, which costs the controller one probe that
+        misses and clears it.  The cache must not be filled through
+        :meth:`fill_cold` afterwards.
+        """
+        self._sharers = sharers
+        self._sharer_bit = bit
+        for index, line in self.resident_lines():
+            block = line.tag * self._num_sets + index
+            sharers[block] = sharers.get(block, 0) | bit
 
     def set_state(self, address: int, state: CoherenceState) -> bool:
         """Set the coherence state of a resident line; returns ``True`` if found."""

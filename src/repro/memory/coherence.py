@@ -1,4 +1,4 @@
-"""MOESI cache-coherence protocol over a snooping bus.
+"""MOESI cache-coherence protocol with a sharer-filtered snoop.
 
 The paper's baseline CMP keeps the per-core L1 data caches coherent with a
 MOESI protocol (Table 1).  This module implements the protocol controller:
@@ -8,6 +8,17 @@ and reporting whether the request was satisfied by a cache-to-cache transfer
 (a *coherence miss*, which the interval model treats as a long-latency event)
 and how many remote copies had to be invalidated.
 
+The protocol is that of a snooping bus, but the host does not probe every
+other L1d per request.  The controller keeps a sharer map (line -> bitmask
+of the cores whose L1d may hold it: a host-side snoop filter in the manner
+of JETTY, Moshovos et al., HPCA 2001) and probes only the cores whose bit is
+set, in ascending core order, which is the order a broadcast visits them in.
+The map is a superset of the true sharers: every valid copy has its bit set,
+while a stale bit only costs one side-effect-free probe, which then clears
+it.  The adopted L1ds maintain it on every fill
+(:meth:`~repro.memory.cache.SetAssociativeCache.track_sharers`), so
+simulated results are exactly those of a broadcast snoop.
+
 A simpler MESI and MSI mode are provided as well (selected through
 ``MemoryConfig.coherence_protocol``) so protocol trade-offs can be explored;
 they differ only in which states are reachable.
@@ -16,7 +27,7 @@ they differ only in which states are reachable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .cache import CoherenceState, SetAssociativeCache
 
@@ -59,6 +70,10 @@ class CoherenceStats:
     cache_to_cache_transfers: int = 0
     invalidations_sent: int = 0
     writebacks: int = 0
+    #: Remote L1d probes the sharer filter let through.  Host-side work,
+    #: not simulated behavior: a broadcast snoop would make
+    #: ``(read_requests + write_requests) * (cores - 1)`` of them.
+    snoop_probes: int = 0
 
     def reset(self) -> None:
         """Zero all counters."""
@@ -68,15 +83,28 @@ class CoherenceStats:
         self.cache_to_cache_transfers = 0
         self.invalidations_sent = 0
         self.writebacks = 0
+        self.snoop_probes = 0
 
 
-#: Shared immutable "no remote sharers" snoop outcome (see
-#: CoherenceController._trivial).  Callers only read SnoopResult fields.
+#: Shared immutable "no remote sharers" snoop outcome, returned by trivial
+#: controllers and whenever the sharer map names no remote core.  Callers
+#: only read SnoopResult fields.
 _NO_SNOOP = SnoopResult()
+
+_SHARED = CoherenceState.SHARED
+_EXCLUSIVE = CoherenceState.EXCLUSIVE
+_OWNED = CoherenceState.OWNED
+_MODIFIED = CoherenceState.MODIFIED
+_INVALID = CoherenceState.INVALID
 
 
 class CoherenceController:
-    """Snooping-bus MOESI/MESI/MSI coherence controller for the private L1Ds."""
+    """Sharer-filtered MOESI/MESI/MSI snoop controller for the private L1Ds.
+
+    Each cache handed to a non-trivial controller is adopted: it keeps the
+    controller's sharer map current on every fill, so a cache may belong to
+    at most one controller.
+    """
 
     def __init__(
         self,
@@ -99,9 +127,17 @@ class CoherenceController:
             epochs if epochs is not None else [0] * len(self._caches)
         )
         # With a single cache (or no protocol) every snoop trivially finds no
-        # remote sharers; requests then return a shared, never-mutated result
-        # instead of allocating one per miss.
+        # remote sharers; requests then return the shared _NO_SNOOP result and
+        # no sharer map is kept.
         self._trivial = len(self._caches) <= 1 or protocol == "NONE"
+        # Sharer map: block number (line address >> offset bits) -> bitmask
+        # of the cores whose L1d may hold the line (bit r is set whenever
+        # core r holds a valid copy).
+        self._sharers: Dict[int, int] = {}
+        self._offset_bits = self._caches[0]._offset_bits if self._caches else 0
+        if not self._trivial:
+            for core, cache in enumerate(self._caches):
+                cache.track_sharers(self._sharers, 1 << core)
         # Degraded-interconnect fault state (see
         # repro.faults.injector.LinkFaultState), installed by the fault
         # injector after functional warm-up; None in fault-free runs.  The
@@ -124,46 +160,73 @@ class CoherenceController:
     def read_request(self, core_id: int, line_address: int) -> SnoopResult:
         """Resolve a read miss from ``core_id`` for ``line_address``.
 
-        Snoops the other L1 data caches.  If a remote cache holds the line in
-        a state that can supply data, a cache-to-cache transfer happens and
-        the supplier is downgraded (M→O, E→S under MOESI; M→S with a memory
-        write-back under MESI/MSI).  Returns the snoop outcome; the caller
-        decides the resulting state of the requester's line
-        (:meth:`requester_read_state`).
+        Snoops the other L1 data caches that may hold the line.  If a remote
+        cache holds it in a state that can supply data, a cache-to-cache
+        transfer happens and the supplier is downgraded (M→O, E→S under
+        MOESI; M→S with a memory write-back under MESI/MSI).  Returns the
+        snoop outcome; the caller decides the resulting state of the
+        requester's line (:meth:`requester_read_state`).
         """
         self.stats.read_requests += 1
         if self._trivial:
             return _NO_SNOOP
+        sharers = self._sharers
+        block = line_address >> self._offset_bits
+        candidates = sharers.get(block, 0) & ~(1 << core_id)
+        if not candidates:
+            return _NO_SNOOP
+        caches = self._caches
         epochs = self.epochs
+        moesi = self.protocol == "MOESI"
         result = SnoopResult()
-        for remote_id, cache in enumerate(self._caches):
-            if remote_id == core_id:
-                continue
+        stale = 0
+        probes = 0
+        # Visit the set bits in ascending core order (lowest bit first).
+        while candidates:
+            bit = candidates & -candidates
+            candidates ^= bit
+            remote_id = bit.bit_length() - 1
+            cache = caches[remote_id]
             line = cache.probe(line_address)
-            if line is None or not line.valid:
+            probes += 1
+            if line is None:
+                stale |= bit
                 continue
             result.had_remote_sharers = True
-            if line.state.can_supply and not result.supplied_by_cache:
+            state = line.state
+            # E, O and M (the states above Shared) can supply data.
+            if state > _SHARED and not result.supplied_by_cache:
                 result.supplied_by_cache = True
                 result.supplier_core = remote_id
                 self.stats.cache_to_cache_transfers += 1
                 epochs[remote_id] += 1
-                if self.protocol == "MOESI":
+                if moesi:
                     # Dirty suppliers keep ownership (O); clean ones become S.
-                    if line.state == CoherenceState.MODIFIED:
-                        line.state = CoherenceState.OWNED
-                    elif line.state == CoherenceState.EXCLUSIVE:
-                        line.state = CoherenceState.SHARED
+                    if state == _MODIFIED:
+                        line.state = _OWNED
+                        cache.stats.coherence_downgrades += 1
+                    elif state == _EXCLUSIVE:
+                        line.state = _SHARED
+                        cache.stats.coherence_downgrades += 1
                 else:
                     # MESI/MSI: dirty data is written back to memory and the
                     # supplier keeps a Shared copy.
-                    if line.state.is_dirty:
+                    if state >= _OWNED:
                         result.writeback_to_memory = True
                         self.stats.writebacks += 1
-                    line.state = CoherenceState.SHARED
-            elif line.state == CoherenceState.EXCLUSIVE:
-                line.state = CoherenceState.SHARED
+                    line.state = _SHARED
+                    cache.stats.coherence_downgrades += 1
+            elif state == _EXCLUSIVE:
+                line.state = _SHARED
                 epochs[remote_id] += 1
+                cache.stats.coherence_downgrades += 1
+        self.stats.snoop_probes += probes
+        if stale:
+            remaining = sharers[block] & ~stale
+            if remaining:
+                sharers[block] = remaining
+            else:
+                del sharers[block]
         return result
 
     def write_request(
@@ -175,30 +238,51 @@ class CoherenceController:
         upgrade (the requester already holds the line in S/O) from a write
         miss; both invalidate remote sharers, but an upgrade does not need a
         data transfer unless a remote cache held the only dirty copy.
+        Afterwards no remote bit of the line is left in the sharer map.
         """
         self.stats.write_requests += 1
         if already_resident:
             self.stats.upgrades += 1
         if self._trivial:
             return _NO_SNOOP
+        sharers = self._sharers
+        own = 1 << core_id
+        block = line_address >> self._offset_bits
+        holders = sharers.get(block, 0)
+        candidates = holders & ~own
+        if not candidates:
+            return _NO_SNOOP
+        caches = self._caches
         epochs = self.epochs
         result = SnoopResult()
-        for remote_id, cache in enumerate(self._caches):
-            if remote_id == core_id:
-                continue
+        probes = 0
+        # Visit the set bits in ascending core order (lowest bit first).
+        while candidates:
+            bit = candidates & -candidates
+            candidates ^= bit
+            remote_id = bit.bit_length() - 1
+            cache = caches[remote_id]
             line = cache.probe(line_address)
-            if line is None or not line.valid:
+            probes += 1
+            if line is None:
                 continue
             result.had_remote_sharers = True
-            if line.state.is_dirty and not result.supplied_by_cache:
+            # O and M (the states above Exclusive) are dirty.
+            if line.state > _EXCLUSIVE and not result.supplied_by_cache:
                 # The remote dirty copy supplies the data to the writer.
                 result.supplied_by_cache = True
                 result.supplier_core = remote_id
                 self.stats.cache_to_cache_transfers += 1
-            cache.invalidate_line(line_address)
+            line.state = _INVALID
+            cache.stats.invalidations_received += 1
             epochs[remote_id] += 1
             result.invalidations += 1
             self.stats.invalidations_sent += 1
+        self.stats.snoop_probes += probes
+        if holders & own:
+            sharers[block] = own
+        else:
+            del sharers[block]
         return result
 
     # -- state decisions ---------------------------------------------------------

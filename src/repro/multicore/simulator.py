@@ -376,6 +376,7 @@ class MulticoreSimulator(abc.ABC):
                 "park_cycles_skipped": (
                     sync.stats.park_cycles_skipped if sync else 0
                 ),
+                "snoop_probes": hierarchy.coherence.stats.snoop_probes,
             },
         )
         return stats

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from repro.api.cli import main
+from repro.api.cli import UsageError, main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -159,3 +159,31 @@ class TestInProcessCli:
         code = main(["figure", "5", "--preset", "quick", "--benchmarks", "gcc"])
         assert code == 0
         assert "Figure 5" in capsys.readouterr().out
+
+
+class TestUsageErrors:
+    """Malformed flags exit 2 with exactly one ``error:`` line, no traceback."""
+
+    CASES = {
+        "copies-on-single": ["run", "--simulator", "interval", "--kind", "single",
+                             "--benchmark", "gcc", "--copies", "3"],
+        "malformed-option": ["run", "--simulator", "interval", "--benchmark", "gcc",
+                             "--instructions", "1000", "-o", "use_old_window"],
+        "empty-simulators": ["compare", "--simulators", " , ", "--benchmark", "gcc"],
+        "malformed-connect": ["worker", "--connect", "not-an-address"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_in_process_raises_exit_code_2(self, case, capsys):
+        with pytest.raises(UsageError) as raised:
+            main(self.CASES[case])
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {raised.value}\n"
+
+    @pytest.mark.parametrize("case", ["copies-on-single", "malformed-connect"])
+    def test_subprocess_exits_2_with_one_line(self, case):
+        proc = _run_module(*self.CASES[case])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
