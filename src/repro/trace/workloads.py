@@ -9,11 +9,16 @@ The experiment harness needs three workload shapes:
 * multi-threaded workloads (one PARSEC-like parallel program across cores) —
   Figures 7, 8 and 10.
 
-Each helper is deterministic given its ``seed`` argument.
+Each helper is deterministic given its ``seed`` argument, so a process
+keeps the last workload it built: asking again for the same one returns the
+same sealed traces instead of synthesizing them again (see
+:func:`_reuse_last_build`).
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import replace
 from typing import List, Optional, Sequence
 
@@ -49,6 +54,59 @@ def _resolve_profile(benchmark: str) -> WorkloadProfile:
     )
 
 
+#: ``(key, workload)`` of the last build, or ``None``; see _reuse_last_build.
+_last_build = None
+
+
+def forget_last_build() -> None:
+    """Drop the kept workload, so the next build synthesizes its traces."""
+    global _last_build
+    _last_build = None
+
+
+def _reuse_last_build(builder):
+    """Make ``builder`` return the last workload again when asked for it again.
+
+    A study runs several timing models over one stream (interval, one-IPC and
+    detailed back to back), so every model after the first would otherwise
+    synthesize a trace identical to the one just built.  The key is the
+    builder and its bound arguments with defaults applied, so positional,
+    keyword and defaulted spellings of one request match; lists are frozen
+    into tuples so that a caller mutating its argument later cannot match.
+    A hit returns a new :class:`Workload` around the same sealed traces,
+    which no simulator writes.  A miss drops the kept workload *before* it
+    synthesizes, so at most one workload is alive, as without reuse.
+    """
+    signature = inspect.signature(builder)
+
+    @functools.wraps(builder)
+    def build(*args, **kwargs) -> Workload:
+        global _last_build
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        key = (builder,) + tuple(
+            (name, tuple(value) if isinstance(value, list) else value)
+            for name, value in bound.arguments.items()
+        )
+        last = _last_build
+        if last is None or last[0] != key:
+            # Let go of the kept workload before synthesizing the new one:
+            # holding it meanwhile would keep two workloads alive at the peak.
+            last = _last_build = None
+            last = _last_build = (key, builder(*args, **kwargs))
+        workload = last[1]
+        return Workload(
+            name=workload.name,
+            traces=list(workload.traces),
+            core_assignment=list(workload.core_assignment),
+            kind=workload.kind,
+            num_barriers=workload.num_barriers,
+        )
+
+    return build
+
+
+@_reuse_last_build
 def single_threaded_workload(
     benchmark: str,
     instructions: Optional[int] = None,
@@ -60,6 +118,7 @@ def single_threaded_workload(
     return Workload(name=benchmark, traces=[trace], kind="single")
 
 
+@_reuse_last_build
 def homogeneous_multiprogram_workload(
     benchmark: str,
     copies: int,
@@ -92,6 +151,7 @@ def homogeneous_multiprogram_workload(
     )
 
 
+@_reuse_last_build
 def heterogeneous_multiprogram_workload(
     benchmarks: Sequence[str],
     instructions: Optional[int] = None,
@@ -119,6 +179,7 @@ def heterogeneous_multiprogram_workload(
     )
 
 
+@_reuse_last_build
 def multithreaded_workload(
     benchmark: str,
     num_threads: int,
@@ -132,6 +193,7 @@ def multithreaded_workload(
     )
 
 
+@_reuse_last_build
 def manycore_workload(
     benchmark: str,
     num_threads: int,

@@ -7,7 +7,18 @@ import pytest
 from repro.common.config import MachineConfig, default_machine_config
 from repro.trace.profiles import spec_profile
 from repro.trace.synthetic import SyntheticTraceGenerator
-from repro.trace.workloads import single_threaded_workload
+from repro.trace.workloads import forget_last_build, single_threaded_workload
+
+
+@pytest.fixture(autouse=True)
+def cold_workload_builds():
+    """Start every test without the workload an earlier test built.
+
+    The workload builders keep their last workload for reuse; a test that
+    inspects lazily built state (instructions, run columns) must see traces
+    that no earlier test touched.
+    """
+    forget_last_build()
 
 
 @pytest.fixture

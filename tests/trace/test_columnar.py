@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import weakref
 
 import pytest
 
@@ -141,7 +142,11 @@ class TestLazyMaterialization:
         try:
             workload = multithreaded_workload("vips", 2, total_instructions=3_000)
             assert workload.traces[0][5] is workload.traces[0][5]
+            dropped = weakref.ref(workload.traces[0])
             del workload
+            # The builders keep their last workload; a different build evicts it.
+            multithreaded_workload("vips", 2, total_instructions=2_000)
+            assert dropped() is None
             assert gc.collect() == 0
         finally:
             gc.enable()

@@ -19,6 +19,7 @@ from repro.api import Session
 from repro.common import fastpath
 from repro.common.isa import Instruction, InstructionClass, SyncKind
 from repro.trace.columnar import TraceBatch
+from repro.trace.workloads import forget_last_build
 
 numpy_required = pytest.mark.skipif(
     fastpath.numpy is None,
@@ -118,6 +119,8 @@ def test_fallback_run_is_bit_identical(monkeypatch):
 
     reference = run()
     monkeypatch.setattr(fastpath, "numpy", None)
+    # A reused workload would bring the run columns numpy already built.
+    forget_last_build()
     fallback = run()
     assert (
         fallback.stats.deterministic_dict()
