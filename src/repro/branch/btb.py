@@ -8,13 +8,21 @@ direction was predicted correctly.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 __all__ = ["BranchTargetBuffer"]
 
+#: ``dict.pop`` default that no stored target can equal.
+_MISS = object()
+
 
 class BranchTargetBuffer:
-    """A set-associative branch target buffer with LRU replacement."""
+    """A set-associative branch target buffer with LRU replacement.
+
+    Each set is a dict from branch word (``pc >> 2``) to target whose
+    insertion order is the LRU order, most recently used last, as in
+    :mod:`repro.memory.cache`.
+    """
 
     def __init__(self, entries: int = 2048, associativity: int = 8) -> None:
         if entries <= 0 or associativity <= 0:
@@ -24,38 +32,27 @@ class BranchTargetBuffer:
         self.entries = entries
         self.associativity = associativity
         self.num_sets = entries // associativity
-        # Each set is an ordered list of (tag, target); index 0 is LRU,
-        # the last element is the most recently used entry.
-        self._sets: List[List[Tuple[int, int]]] = [[] for _ in range(self.num_sets)]
-
-    def _index_tag(self, pc: int) -> Tuple[int, int]:
-        """Split a branch PC into set index and tag."""
-        word = pc >> 2
-        return word % self.num_sets, word // self.num_sets
+        self._sets: List[Dict[int, int]] = [{} for _ in range(self.num_sets)]
 
     def lookup(self, pc: int) -> Optional[int]:
         """Return the predicted target for ``pc``, or ``None`` on a BTB miss."""
-        index, tag = self._index_tag(pc)
-        entry_set = self._sets[index]
-        for position, (entry_tag, target) in enumerate(entry_set):
-            if entry_tag == tag:
-                # Move to MRU position.
-                entry_set.append(entry_set.pop(position))
-                return target
-        return None
+        word = pc >> 2
+        entry_set = self._sets[word % self.num_sets]
+        target = entry_set.pop(word, _MISS)
+        if target is _MISS:
+            return None
+        entry_set[word] = target
+        return target
 
     def update(self, pc: int, target: int) -> None:
         """Record the actual target of a taken branch."""
-        index, tag = self._index_tag(pc)
-        entry_set = self._sets[index]
-        for position, (entry_tag, _) in enumerate(entry_set):
-            if entry_tag == tag:
-                entry_set.pop(position)
-                break
-        entry_set.append((tag, target))
+        word = pc >> 2
+        entry_set = self._sets[word % self.num_sets]
+        entry_set.pop(word, None)
+        entry_set[word] = target
         if len(entry_set) > self.associativity:
-            entry_set.pop(0)
+            del entry_set[next(iter(entry_set))]
 
     def flush(self) -> None:
         """Invalidate the entire BTB."""
-        self._sets = [[] for _ in range(self.num_sets)]
+        self._sets = [{} for _ in range(self.num_sets)]

@@ -10,14 +10,13 @@ interval simulator and by the detailed reference simulator so both observe
 identical miss events.
 """
 
-from .cache import CacheLine, CacheStats, CoherenceState, SetAssociativeCache
+from .cache import CacheStats, CoherenceState, SetAssociativeCache
 from .coherence import CoherenceController, CoherenceStats, SnoopResult
 from .dram import DRAMStats, MainMemory
 from .hierarchy import AccessResult, MemoryHierarchy
 from .tlb import TLB, TLBStats
 
 __all__ = [
-    "CacheLine",
     "CacheStats",
     "CoherenceState",
     "SetAssociativeCache",

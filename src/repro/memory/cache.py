@@ -6,20 +6,22 @@ MOESI coherence state so the same structure serves both the coherent private
 data caches and the non-coherent instruction caches (which simply keep their
 lines in the Exclusive state).
 
-Replacement policy is true LRU, implemented with an ordered list per set
-(most-recently-used last); the cache sizes of Table 1 keep the per-set lists
-short (4–8 ways), so the list operations are cheap.
+Replacement policy is true LRU.  Each set is a dict from block number
+(address >> offset bits) to the line's state, and its insertion order is
+the LRU order, most recently used last: a hit pops the block and reinserts
+it, and a fill into a full set evicts the first key.  An Invalid line is
+simply absent.  Only this module knows that order.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..common.config import CacheConfig
 
-__all__ = ["CoherenceState", "CacheLine", "CacheStats", "SetAssociativeCache"]
+__all__ = ["CoherenceState", "CacheStats", "SetAssociativeCache"]
 
 
 class CoherenceState(enum.IntEnum):
@@ -52,21 +54,11 @@ class CoherenceState(enum.IntEnum):
         return self in (CoherenceState.MODIFIED, CoherenceState.OWNED)
 
 
-@dataclass(slots=True)
-class CacheLine:
-    """One cache line: address tag plus MOESI state.
-
-    ``CoherenceState.INVALID`` is zero, so hot paths test validity with the
-    state's truthiness instead of the :attr:`valid` property chain.
-    """
-
-    tag: int
-    state: CoherenceState = CoherenceState.EXCLUSIVE
-
-    @property
-    def valid(self) -> bool:
-        """``True`` unless the line is Invalid."""
-        return self.state.is_valid
+#: Shared stand-in for every set not yet filled (a shared L2 has thousands
+#: of sets, most never touched in short simulations).  Probes and lookups
+#: miss on it without writing; :meth:`SetAssociativeCache.fill` gives the set
+#: a dict of its own before inserting, so nothing ever writes to this one.
+_UNFILLED: Dict[int, CoherenceState] = {}
 
 
 @dataclass
@@ -105,13 +97,14 @@ class CacheStats:
 class SetAssociativeCache:
     """A set-associative cache with LRU replacement and MOESI line states.
 
-    The cache stores only tags and states (no data), which is all a timing
-    simulator needs.  The coherence controller (:mod:`repro.memory.coherence`)
-    applies its transitions directly to the lines :meth:`probe` returns,
-    counting each one in :attr:`stats` (``invalidations_received``,
-    ``coherence_downgrades``).  An L1d the controller adopts
-    (:meth:`track_sharers`) also keeps the controller's sharer map current
-    on every :meth:`fill`.
+    The cache stores only block numbers and states (no data), which is all a
+    timing simulator needs.  The coherence controller
+    (:mod:`repro.memory.coherence`) reads states through :meth:`probe` and
+    applies its transitions through :meth:`set_state` and
+    :meth:`invalidate_line`, counting each one in :attr:`stats`
+    (``invalidations_received``, ``coherence_downgrades``).  An L1d the
+    controller adopts (:meth:`track_sharers`) also keeps the controller's
+    sharer map current on every :meth:`fill`.
     """
 
     def __init__(self, config: CacheConfig, name: str = "cache", level: int = 1) -> None:
@@ -121,146 +114,73 @@ class SetAssociativeCache:
         self.stats = CacheStats()
         self._offset_bits = config.line_size.bit_length() - 1
         self._num_sets = config.num_sets
-        # Per-set line lists, allocated lazily on first fill: a shared L2 has
-        # thousands of sets, most never touched in short simulations.
-        self._sets: List[Optional[List[CacheLine]]] = [None] * self._num_sets
+        self._ways = config.associativity
+        # Per-set {block: state} dicts in LRU order, most recently used last.
+        self._sets: List[Dict[int, CoherenceState]] = [_UNFILLED] * self._num_sets
         # Sharer map (block number -> core bitmask) of the coherence
         # controller that adopted this cache (see track_sharers), and this
         # cache's bit in it; None otherwise.
         self._sharers: Optional[Dict[int, int]] = None
         self._sharer_bit = 0
 
-    # -- address helpers ---------------------------------------------------------
-
-    def line_address(self, address: int) -> int:
-        """Return the line-aligned address containing ``address``."""
-        return address >> self._offset_bits << self._offset_bits
-
-    def _index_tag(self, address: int) -> Tuple[int, int]:
-        """Split an address into (set index, tag)."""
-        block = address >> self._offset_bits
-        return block % self._num_sets, block // self._num_sets
-
     # -- lookup / fill -----------------------------------------------------------
 
-    def probe(self, address: int) -> Optional[CacheLine]:
-        """Look up a line without updating LRU order or statistics."""
-        block = address >> self._offset_bits
-        tag = block // self._num_sets
-        entry_set = self._sets[block % self._num_sets]
-        if entry_set:
-            # Scan MRU-first (sets keep MRU last): hits cluster at the hot end.
-            for line in reversed(entry_set):
-                if line.tag == tag and line.state:
-                    return line
-        return None
+    def probe(self, address: int) -> Optional[CoherenceState]:
+        """State of the line holding ``address``, or ``None`` on a miss.
 
-    def lookup(self, address: int, count_access: bool = True) -> Optional[CacheLine]:
-        """Look up a line, updating LRU order and (optionally) statistics.
-
-        Returns the :class:`CacheLine` on a hit, or ``None`` on a miss.
+        Touches neither the LRU order nor the statistics.
         """
         block = address >> self._offset_bits
-        tag = block // self._num_sets
+        return self._sets[block % self._num_sets].get(block)
+
+    def lookup(self, address: int) -> Optional[CoherenceState]:
+        """Count an access and, on a hit, make the line MRU.
+
+        Returns the line's state on a hit, or ``None`` on a miss.
+        """
+        block = address >> self._offset_bits
         entry_set = self._sets[block % self._num_sets]
-        if count_access:
-            self.stats.accesses += 1
-        if entry_set:
-            # Scan MRU-first (sets keep MRU last): hits cluster at the hot end.
-            position = len(entry_set) - 1
-            last = position
-            while position >= 0:
-                line = entry_set[position]
-                if line.tag == tag and line.state:
-                    # Move to MRU (a no-op when the line already is MRU).
-                    if position != last:
-                        entry_set.append(entry_set.pop(position))
-                    return line
-                position -= 1
-        if count_access:
+        self.stats.accesses += 1
+        state = entry_set.pop(block, None)
+        if state is None:
             self.stats.misses += 1
-        return None
+            return None
+        entry_set[block] = state
+        return state
 
     def fill(
         self, address: int, state: CoherenceState = CoherenceState.EXCLUSIVE
-    ) -> Optional[CacheLine]:
-        """Insert a line after a miss; returns the evicted line, if any.
+    ) -> Optional[CoherenceState]:
+        """Install the line as MRU in ``state``; returns the evicted state, if any.
 
-        The evicted line is returned so the caller can issue a write-back when
-        it is dirty (Modified/Owned).  On an adopted cache the filled line's
-        sharer bit is set and the evicted line's bit cleared.
+        The evicted state is returned so the caller can issue a write-back
+        when it is dirty (Modified/Owned).  Refilling a resident line only
+        changes its state and makes it MRU.  On an adopted cache the filled
+        line's sharer bit is set and the evicted line's bit cleared.
         """
         block = address >> self._offset_bits
-        tag = block // self._num_sets
         index = block % self._num_sets
         entry_set = self._sets[index]
-        if entry_set is None:
-            entry_set = self._sets[index] = []
+        if entry_set is _UNFILLED:
+            entry_set = self._sets[index] = {}
         sharers = self._sharers
         if sharers is not None:
             sharers[block] = sharers.get(block, 0) | self._sharer_bit
-        # One pass resolves both questions: an existing (possibly invalid)
-        # line with this tag, and otherwise the first invalid line to reuse.
-        invalid_at = -1
-        last = len(entry_set) - 1
-        for position in range(last + 1):
-            line = entry_set[position]
-            if line.tag == tag:
-                # Refill of an existing (possibly invalid) line.
-                line.state = state
-                if position != last:
-                    entry_set.append(entry_set.pop(position))
-                return None
-            if invalid_at < 0 and not line.state:
-                invalid_at = position
-        victim: Optional[CacheLine] = None
-        if last + 1 >= self.config.associativity:
-            # Prefer evicting an invalid line.
-            if invalid_at >= 0:
-                entry_set.pop(invalid_at)
-            else:
-                victim = entry_set.pop(0)
-                self.stats.evictions += 1
-                # Dirty (Modified/Owned) states sort above the clean ones.
-                if victim.state >= CoherenceState.OWNED:
-                    self.stats.writebacks += 1
-                if sharers is not None:
-                    victim_block = victim.tag * self._num_sets + index
-                    remaining = sharers.get(victim_block, 0) & ~self._sharer_bit
-                    if remaining:
-                        sharers[victim_block] = remaining
-                    else:
-                        sharers.pop(victim_block, None)
-        entry_set.append(CacheLine(tag=tag, state=state))
-        return victim
-
-    def fill_cold(
-        self, address: int, state: CoherenceState = CoherenceState.EXCLUSIVE
-    ) -> Optional[CacheLine]:
-        """:meth:`fill` for a cache that can hold neither the tag nor invalid
-        lines.
-
-        Callers must have just verified the miss (so no *valid* same-tag line
-        exists) on a cache whose lines are never invalidated or mutated
-        behind its back — the I-side caches and the shared L2 (coherence only
-        touches the L1 data caches), and the L1d itself when no other cache
-        can snoop it.  Under that invariant the same-tag/invalid scans of
-        :meth:`fill` are dead code and the fill is a straight evict-append.
-        """
-        block = address >> self._offset_bits
-        tag = block // self._num_sets
-        index = block % self._num_sets
-        entry_set = self._sets[index]
-        if entry_set is None:
-            entry_set = self._sets[index] = []
-        victim: Optional[CacheLine] = None
-        if len(entry_set) >= self.config.associativity:
-            victim = entry_set.pop(0)
+        victim: Optional[CoherenceState] = None
+        if entry_set.pop(block, None) is None and len(entry_set) >= self._ways:
+            victim_block = next(iter(entry_set))
+            victim = entry_set.pop(victim_block)
             self.stats.evictions += 1
             # Dirty (Modified/Owned) states sort above the clean ones.
-            if victim.state >= CoherenceState.OWNED:
+            if victim >= CoherenceState.OWNED:
                 self.stats.writebacks += 1
-        entry_set.append(CacheLine(tag=tag, state=state))
+            if sharers is not None:
+                remaining = sharers.get(victim_block, 0) & ~self._sharer_bit
+                if remaining:
+                    sharers[victim_block] = remaining
+                else:
+                    sharers.pop(victim_block, None)
+        entry_set[block] = state
         return victim
 
     # -- coherence hooks ---------------------------------------------------------
@@ -276,86 +196,58 @@ class SetAssociativeCache:
         invalidates.  Lines that leave the cache any other way
         (:meth:`drop_line`, :meth:`flush`, a direct :meth:`invalidate_line`)
         leave a stale bit behind, which costs the controller one probe that
-        misses and clears it.  The cache must not be filled through
-        :meth:`fill_cold` afterwards.
+        misses and clears it.
         """
         self._sharers = sharers
         self._sharer_bit = bit
-        for index, line in self.resident_lines():
-            block = line.tag * self._num_sets + index
+        for block, _ in self.resident_lines():
             sharers[block] = sharers.get(block, 0) | bit
 
     def set_state(self, address: int, state: CoherenceState) -> bool:
-        """Set the coherence state of a resident line; returns ``True`` if found."""
-        line = self.probe(address)
-        if line is None:
+        """Set a resident line's (valid) state in place, keeping its LRU position.
+
+        Returns ``True`` if the line was resident.
+        """
+        block = address >> self._offset_bits
+        entry_set = self._sets[block % self._num_sets]
+        if block not in entry_set:
             return False
-        line.state = state
+        entry_set[block] = state
         return True
 
     def invalidate_line(self, address: int) -> bool:
         """Invalidate a line if present (snoop-invalidate); returns ``True`` if hit."""
-        line = self.probe(address)
-        if line is None:
+        if not self.drop_line(address):
             return False
-        line.state = CoherenceState.INVALID
         self.stats.invalidations_received += 1
         return True
 
     def drop_line(self, address: int) -> bool:
-        """Remove a line from its set entirely; returns ``True`` if present.
+        """Remove a line without counting anything; returns ``True`` if present.
 
-        Fault-injection hook: unlike :meth:`invalidate_line` (which leaves
-        an INVALID husk occupying its way — fine for the coherent L1d, whose
-        fills tolerate invalid same-tag lines) this frees the way, so it is
-        safe on caches filled through :meth:`fill_cold` (the I-side caches
-        and the shared L2, whose invariant forbids invalid same-tag
-        residents).  The LRU order of the surviving lines is preserved and
-        no statistics are touched — the next access simply misses, exactly
-        as if the line had never been fetched.
+        Fault-injection hook: the LRU order of the surviving lines is kept
+        and the next access simply misses, exactly as if the line had never
+        been fetched.
         """
         block = address >> self._offset_bits
-        tag = block // self._num_sets
-        entry_set = self._sets[block % self._num_sets]
-        if entry_set:
-            for position in range(len(entry_set) - 1, -1, -1):
-                line = entry_set[position]
-                if line.tag == tag and line.state:
-                    del entry_set[position]
-                    return True
-        return False
-
-    def downgrade_line(self, address: int) -> bool:
-        """Downgrade M/E → O/S on a remote read snoop; returns ``True`` if hit."""
-        line = self.probe(address)
-        if line is None or not line.valid:
-            return False
-        if line.state == CoherenceState.MODIFIED:
-            line.state = CoherenceState.OWNED
-        elif line.state == CoherenceState.EXCLUSIVE:
-            line.state = CoherenceState.SHARED
-        self.stats.coherence_downgrades += 1
-        return True
+        return self._sets[block % self._num_sets].pop(block, None) is not None
 
     # -- inspection --------------------------------------------------------------
 
-    def resident_lines(self) -> Iterator[Tuple[int, CacheLine]]:
-        """Yield (set index, line) for every valid resident line."""
-        for index, entry_set in enumerate(self._sets):
-            if not entry_set:
-                continue
-            for line in entry_set:
-                if line.valid:
-                    yield index, line
+    def resident_lines(self) -> Iterator[Tuple[int, CoherenceState]]:
+        """Yield (block, state) for every resident line, set by set in LRU order."""
+        for entry_set in self._sets:
+            if entry_set:
+                yield from entry_set.items()
 
     @property
     def occupancy(self) -> int:
         """Number of valid lines currently resident."""
-        return sum(1 for _ in self.resident_lines())
+        return sum(map(len, self._sets))
 
     def flush(self) -> None:
         """Invalidate the entire cache (statistics are kept)."""
-        self._sets = [None] * self._num_sets
+        self._sets = [_UNFILLED] * self._num_sets
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -95,7 +95,6 @@ _SHARED = CoherenceState.SHARED
 _EXCLUSIVE = CoherenceState.EXCLUSIVE
 _OWNED = CoherenceState.OWNED
 _MODIFIED = CoherenceState.MODIFIED
-_INVALID = CoherenceState.INVALID
 
 
 class CoherenceController:
@@ -187,13 +186,12 @@ class CoherenceController:
             candidates ^= bit
             remote_id = bit.bit_length() - 1
             cache = caches[remote_id]
-            line = cache.probe(line_address)
+            state = cache.probe(line_address)
             probes += 1
-            if line is None:
+            if state is None:
                 stale |= bit
                 continue
             result.had_remote_sharers = True
-            state = line.state
             # E, O and M (the states above Shared) can supply data.
             if state > _SHARED and not result.supplied_by_cache:
                 result.supplied_by_cache = True
@@ -203,10 +201,10 @@ class CoherenceController:
                 if moesi:
                     # Dirty suppliers keep ownership (O); clean ones become S.
                     if state == _MODIFIED:
-                        line.state = _OWNED
+                        cache.set_state(line_address, _OWNED)
                         cache.stats.coherence_downgrades += 1
                     elif state == _EXCLUSIVE:
-                        line.state = _SHARED
+                        cache.set_state(line_address, _SHARED)
                         cache.stats.coherence_downgrades += 1
                 else:
                     # MESI/MSI: dirty data is written back to memory and the
@@ -214,10 +212,10 @@ class CoherenceController:
                     if state >= _OWNED:
                         result.writeback_to_memory = True
                         self.stats.writebacks += 1
-                    line.state = _SHARED
+                    cache.set_state(line_address, _SHARED)
                     cache.stats.coherence_downgrades += 1
             elif state == _EXCLUSIVE:
-                line.state = _SHARED
+                cache.set_state(line_address, _SHARED)
                 epochs[remote_id] += 1
                 cache.stats.coherence_downgrades += 1
         self.stats.snoop_probes += probes
@@ -262,19 +260,18 @@ class CoherenceController:
             candidates ^= bit
             remote_id = bit.bit_length() - 1
             cache = caches[remote_id]
-            line = cache.probe(line_address)
+            state = cache.probe(line_address)
             probes += 1
-            if line is None:
+            if state is None:
                 continue
             result.had_remote_sharers = True
             # O and M (the states above Exclusive) are dirty.
-            if line.state > _EXCLUSIVE and not result.supplied_by_cache:
+            if state > _EXCLUSIVE and not result.supplied_by_cache:
                 # The remote dirty copy supplies the data to the writer.
                 result.supplied_by_cache = True
                 result.supplier_core = remote_id
                 self.stats.cache_to_cache_transfers += 1
-            line.state = _INVALID
-            cache.stats.invalidations_received += 1
+            cache.invalidate_line(line_address)
             epochs[remote_id] += 1
             result.invalidations += 1
             self.stats.invalidations_sent += 1
@@ -296,14 +293,3 @@ class CoherenceController:
         if self.protocol == "MSI":
             return CoherenceState.SHARED
         return CoherenceState.EXCLUSIVE
-
-    def requester_write_state(self) -> CoherenceState:
-        """State the requester installs after a write (always Modified)."""
-        return CoherenceState.MODIFIED
-
-    def evict_notification(self, line_state: CoherenceState) -> bool:
-        """Whether evicting a line in ``line_state`` requires a memory write-back."""
-        if line_state.is_dirty:
-            self.stats.writebacks += 1
-            return True
-        return False

@@ -320,7 +320,7 @@ class MemoryHierarchy:
         result.penalty += self._fill_from_shared_levels(
             core_id, pc, now, result, is_instruction=True
         )
-        cache.fill_cold(pc, CoherenceState.EXCLUSIVE)
+        cache.fill(pc, CoherenceState.EXCLUSIVE)
         if not perfect_itlb:
             self._fetch_memo_block[core_id] = pc >> self._l1i_offset_bits
             self._fetch_memo_page[core_id] = pc >> self._itlb_page_shift
@@ -382,8 +382,8 @@ class MemoryHierarchy:
             last_page = memo_page[core_id]
             # Memo-path hits are counted locally and flushed once per block
             # (totals are only observed between hierarchy calls).  The
-            # flag-free caller (no sync positions in range) gets a loop
-            # without the per-position flag test.
+            # flag-free run-column caller (no sync positions in range) gets
+            # a loop without the per-position flag test.
             memo_hits = 0
             if line_runs is not None and self._fetch_block_implies_page:
                 # Run-column fast path: every position in [index,
@@ -435,9 +435,10 @@ class MemoryHierarchy:
                             flags, index + 1, end, flag_mask
                         )
                         index = end
-            elif not self._fetch_block_implies_page:
-                # Degenerate geometry (lines larger than pages): the memo-hit
-                # test needs the page compare as well.
+            else:
+                # Per-position probe: a repeat of the memo's line and page is
+                # a memo hit (the page compare matters only in the degenerate
+                # geometry where lines are larger than pages).
                 while index < stop:
                     if flags is not None and flags[index] & flag_mask:
                         index += 1
@@ -449,21 +450,6 @@ class MemoryHierarchy:
                         memo_hits += 1
                         index += 1
                         continue
-                    if not tlb.probe(pc) or cache.probe(pc) is None:
-                        break
-                    tlb.access(pc)
-                    cache.lookup(pc)
-                    last_block = block
-                    last_page = page
-                    index += 1
-            elif flags is None:
-                while index < stop:
-                    pc = addresses[index]
-                    block = pc >> offset_bits
-                    if block == last_block:
-                        memo_hits += 1
-                        index += 1
-                        continue
                     # Transition to a new line/page: peek both structures
                     # first so a would-miss access leaves no trace for the
                     # caller to redo.
@@ -472,25 +458,7 @@ class MemoryHierarchy:
                     tlb.access(pc)
                     cache.lookup(pc)
                     last_block = block
-                    last_page = pc >> page_shift
-                    index += 1
-            else:
-                while index < stop:
-                    if flags[index] & flag_mask:
-                        index += 1
-                        continue
-                    pc = addresses[index]
-                    block = pc >> offset_bits
-                    if block == last_block:
-                        memo_hits += 1
-                        index += 1
-                        continue
-                    if not tlb.probe(pc) or cache.probe(pc) is None:
-                        break
-                    tlb.access(pc)
-                    cache.lookup(pc)
-                    last_block = block
-                    last_page = pc >> page_shift
+                    last_page = page
                     index += 1
             if memo_hits:
                 tlb_stats.accesses += memo_hits
@@ -697,29 +665,7 @@ class MemoryHierarchy:
                 return None
         page = address >> self._dtlb_page_shift
 
-        tlb_missed = False
-        if not perfect_dtlb:
-            # Inlined TLB access (MRU-first scan; a miss installs the page).
-            tlb = self.dtlb[core_id]
-            tlb_stats = tlb.stats
-            tlb_sets = tlb._sets
-            tag = page // tlb._num_sets
-            entry_set = tlb_sets[page % tlb._num_sets]
-            tlb_stats.accesses += 1
-            position = len(entry_set) - 1
-            last = position
-            while position >= 0:
-                if entry_set[position] == tag:
-                    if position != last:
-                        entry_set.append(entry_set.pop(position))
-                    break
-                position -= 1
-            else:
-                tlb_stats.misses += 1
-                entry_set.append(tag)
-                if len(entry_set) > tlb.config.associativity:
-                    entry_set.pop(0)
-                tlb_missed = True
+        tlb_missed = not perfect_dtlb and not self.dtlb[core_id].access(address)
 
         if self._perfect_l1d:
             if not tlb_missed:
@@ -731,32 +677,13 @@ class MemoryHierarchy:
 
         cache = self.l1d[core_id]
         line_address = block << self._l1d_offset_bits
-
-        # Inlined L1d lookup (MRU-first scan, sets keep MRU last).
-        cache_stats = cache.stats
-        cache_stats.accesses += 1
-        line_tag = block // cache._num_sets
-        line_set = cache._sets[block % cache._num_sets]
-        line = None
-        if line_set:
-            position = len(line_set) - 1
-            last = position
-            while position >= 0:
-                candidate = line_set[position]
-                if candidate.tag == line_tag and candidate.state:
-                    if position != last:
-                        line_set.append(line_set.pop(position))
-                    line = candidate
-                    break
-                position -= 1
-
+        state = cache.lookup(line_address)
         trivial_snoop = self._trivial_snoop
         coh_stats = self.coherence.stats
 
-        if line is not None:
+        if state is not None:
             upgrade_penalty = 0
-            if is_write:
-                state = line.state
+            if is_write and state != _ST_MODIFIED:
                 if state == _ST_SHARED or state == _ST_OWNED:
                     # Upgrade: invalidate remote copies before writing.
                     if trivial_snoop:
@@ -773,9 +700,8 @@ class MemoryHierarchy:
                                 upgrade_penalty += link_faults.transfer_extra(
                                     _CACHE_TO_CACHE_OVERHEAD, now, core_id
                                 )
-                    line.state = _ST_MODIFIED
-                elif state == _ST_EXCLUSIVE:
-                    line.state = _ST_MODIFIED
+                state = _ST_MODIFIED
+                cache.set_state(line_address, state)
             if full_model:
                 # The line (and, after a fill, the page) is now MRU in both
                 # structures; the memo is valid until the next remote
@@ -783,7 +709,7 @@ class MemoryHierarchy:
                 self._data_memo_block[core_id] = block
                 self._data_memo_page[core_id] = page
                 self._data_memo_epoch[core_id] = self._l1d_epoch[core_id]
-                self._data_memo_writable[core_id] = line.state == _ST_MODIFIED
+                self._data_memo_writable[core_id] = state == _ST_MODIFIED
             if not tlb_missed and upgrade_penalty == 0:
                 return None
             result = AccessResult(self._l1d_hit_latency)
@@ -794,7 +720,6 @@ class MemoryHierarchy:
             return result
 
         # L1 miss: consult the coherence protocol first.
-        cache_stats.misses += 1
         result = AccessResult(self._l1d_hit_latency)
         if tlb_missed:
             result.tlb_miss = True
@@ -845,18 +770,15 @@ class MemoryHierarchy:
                     result.penalty += self._l2_hit_latency + self.dram.access(
                         now, core_id
                     )
-                    l2.fill_cold(line_address, _ST_EXCLUSIVE)
+                    l2.fill(line_address, _ST_EXCLUSIVE)
             else:
                 # No L2 (3D-stacked configuration): straight to DRAM.
                 result.l2_miss = True
                 result.penalty += self.dram.access(now, core_id)
 
-        if trivial_snoop:
-            victim = cache.fill_cold(line_address, install_state)
-        else:
-            victim = cache.fill(line_address, install_state)
+        victim = cache.fill(line_address, install_state)
         # Dirty (Modified/Owned) states sort above the clean ones.
-        if victim is not None and victim.state >= _ST_OWNED:
+        if victim is not None and victim >= _ST_OWNED:
             coh_stats.writebacks += 1
         if full_model:
             self._data_memo_block[core_id] = block
@@ -903,13 +825,12 @@ class MemoryHierarchy:
 
         cache = self.l1d[core_id]
         line_address = block << self._l1d_offset_bits
-        line = cache.lookup(line_address)
+        state = cache.lookup(line_address)
         coh_stats = self.coherence.stats
         trivial_snoop = self._trivial_snoop
 
-        if line is not None:
-            if is_write:
-                state = line.state
+        if state is not None:
+            if is_write and state != _ST_MODIFIED:
                 if state == _ST_SHARED or state == _ST_OWNED:
                     if trivial_snoop:
                         coh_stats.write_requests += 1
@@ -918,14 +839,13 @@ class MemoryHierarchy:
                         self.coherence.write_request(
                             core_id, line_address, already_resident=True
                         )
-                    line.state = _ST_MODIFIED
-                elif state == _ST_EXCLUSIVE:
-                    line.state = _ST_MODIFIED
+                state = _ST_MODIFIED
+                cache.set_state(line_address, state)
             if full_model:
                 self._data_memo_block[core_id] = block
                 self._data_memo_page[core_id] = page
                 self._data_memo_epoch[core_id] = self._l1d_epoch[core_id]
-                self._data_memo_writable[core_id] = line.state == _ST_MODIFIED
+                self._data_memo_writable[core_id] = state == _ST_MODIFIED
             return
 
         supplied_by_cache = False
@@ -950,13 +870,10 @@ class MemoryHierarchy:
         if not supplied_by_cache and not self._perfect_l2:
             l2 = self.l2
             if l2 is not None and l2.lookup(line_address) is None:
-                l2.fill_cold(line_address, _ST_EXCLUSIVE)
+                l2.fill(line_address, _ST_EXCLUSIVE)
 
-        if trivial_snoop:
-            victim = cache.fill_cold(line_address, install_state)
-        else:
-            victim = cache.fill(line_address, install_state)
-        if victim is not None and victim.state >= _ST_OWNED:
+        victim = cache.fill(line_address, install_state)
+        if victim is not None and victim >= _ST_OWNED:
             coh_stats.writebacks += 1
         if full_model:
             self._data_memo_block[core_id] = block
@@ -984,9 +901,8 @@ class MemoryHierarchy:
     def fault_drop_line(self, core_id: int, address: int, level: str = "l1d") -> int:
         """Drop one line from ``core_id``'s cache at ``level`` (fault event).
 
-        The line is removed from its set entirely
-        (:meth:`~repro.memory.cache.SetAssociativeCache.drop_line`, which
-        keeps the ``fill_cold`` no-invalid-residents invariant intact), and
+        The line is removed from its set
+        (:meth:`~repro.memory.cache.SetAssociativeCache.drop_line`), and
         the bookkeeping that made the line's residency observable without a
         probe is invalidated the same way a remote coherence action would
         invalidate it: an L1d drop bumps the core's coherence epoch (so the
@@ -1059,7 +975,7 @@ class MemoryHierarchy:
             # L2 miss: go off-chip, then fill the L2.
             result.l2_miss = True
             dram_latency = self.dram.access(now, core_id)
-            l2.fill_cold(line_address, CoherenceState.EXCLUSIVE)
+            l2.fill(line_address, CoherenceState.EXCLUSIVE)
             return self._l2_hit_latency + dram_latency
 
         # No L2 (Figure-8 3D-stacked configuration): straight to DRAM.

@@ -4,13 +4,16 @@ The paper's miss-event taxonomy includes I-TLB and D-TLB misses, which are
 handled exactly like cache misses by the interval model (the miss latency —
 here, a fixed page-table-walk latency — is added to the per-core simulated
 time).  The TLB is a small set-associative structure over virtual page
-numbers with LRU replacement.
+numbers with LRU replacement.  It keeps the layout of
+:mod:`repro.memory.cache`: each set is a dict keyed by page number whose
+insertion order is the LRU order, most recently used last, so a hit pops
+and reinserts the page and a miss into a full set evicts the first key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List
 
 from ..common.config import TLBConfig
 
@@ -51,13 +54,8 @@ class TLB:
         self.stats = TLBStats()
         self._page_shift = config.page_size.bit_length() - 1
         self._num_sets = config.num_sets
-        # Each set holds page-number tags, most recently used last.
-        self._sets: List[List[int]] = [[] for _ in range(self._num_sets)]
-
-    def _index_tag(self, address: int) -> Tuple[int, int]:
-        """Split an address into (set index, page tag)."""
-        page = address >> self._page_shift
-        return page % self._num_sets, page // self._num_sets
+        # Per-set {page: True} dicts in LRU order, most recently used last.
+        self._sets: List[Dict[int, bool]] = [{} for _ in range(self._num_sets)]
 
     def access(self, address: int) -> bool:
         """Translate ``address``; returns ``True`` on a hit, ``False`` on a miss.
@@ -66,30 +64,22 @@ class TLB:
         the memory hierarchy as ``config.miss_latency`` cycles).
         """
         page = address >> self._page_shift
-        tag = page // self._num_sets
         entry_set = self._sets[page % self._num_sets]
         self.stats.accesses += 1
-        # Scan MRU-first (sets keep MRU last): hits cluster at the hot end.
-        position = len(entry_set) - 1
-        last = position
-        while position >= 0:
-            if entry_set[position] == tag:
-                # Move to MRU (a no-op when the entry already is MRU).
-                if position != last:
-                    entry_set.append(entry_set.pop(position))
-                return True
-            position -= 1
+        hit = entry_set.pop(page, False)
+        entry_set[page] = True
+        if hit:
+            return True
         self.stats.misses += 1
-        entry_set.append(tag)
         if len(entry_set) > self.config.associativity:
-            entry_set.pop(0)
+            del entry_set[next(iter(entry_set))]
         return False
 
     def probe(self, address: int) -> bool:
         """Check residency without updating LRU order or statistics."""
-        index, tag = self._index_tag(address)
-        return tag in self._sets[index]
+        page = address >> self._page_shift
+        return page in self._sets[page % self._num_sets]
 
     def flush(self) -> None:
         """Invalidate all translations (statistics are kept)."""
-        self._sets = [[] for _ in range(self._num_sets)]
+        self._sets = [{} for _ in range(self._num_sets)]

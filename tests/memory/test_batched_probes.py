@@ -36,9 +36,7 @@ def _fetch_state(hierarchy):
         "itlb": (hierarchy.itlb[0].stats.accesses, hierarchy.itlb[0].stats.misses),
         "l2": (hierarchy.l2.stats.accesses, hierarchy.l2.stats.misses),
         "dram": hierarchy.dram.stats.accesses,
-        "lines": sorted(
-            (index, line.tag) for index, line in hierarchy.l1i[0].resident_lines()
-        ),
+        "lines": sorted(block for block, _ in hierarchy.l1i[0].resident_lines()),
     }
 
 
@@ -155,8 +153,8 @@ class TestDataProbe:
         hierarchy, _ = _fresh_pair()
         hierarchy.data_probe(0, 0x10_0000, False, 0)  # load -> Exclusive
         assert hierarchy.data_probe(0, 0x10_0000, True, 0) is None  # E -> M, free
-        line = hierarchy.l1d[0].probe(0x10_0000)
-        assert line is not None and line.state.is_dirty
+        state = hierarchy.l1d[0].probe(0x10_0000)
+        assert state is not None and state.is_dirty
 
 
 class TestFetchMemoSafety:

@@ -63,8 +63,7 @@ class TestFastPathFires:
         hierarchy = _hierarchy(1)
         hierarchy.data_probe(0, BLOCK, False, 0)
         assert hierarchy.data_probe(0, BLOCK, True, 0) is None
-        line = hierarchy.l1d[0].probe(BLOCK)
-        assert line is not None and line.state == CoherenceState.MODIFIED
+        assert hierarchy.l1d[0].probe(BLOCK) == CoherenceState.MODIFIED
 
     def test_different_block_misses_the_memo(self):
         hierarchy = _hierarchy(1)
@@ -100,14 +99,12 @@ class TestCoherenceEpochGuard:
         assert hierarchy.data_probe(0, BLOCK, True, 0) is None  # memoized M hit
 
         hierarchy.data_probe(1, BLOCK, False, 0)  # remote read: M -> O
-        line = hierarchy.l1d[0].probe(BLOCK)
-        assert line is not None and line.state == CoherenceState.OWNED
+        assert hierarchy.l1d[0].probe(BLOCK) == CoherenceState.OWNED
 
         invalidations_before = hierarchy.coherence.stats.invalidations_sent
         hierarchy.data_probe(0, BLOCK, True, 0)
         assert hierarchy.coherence.stats.invalidations_sent == invalidations_before + 1
-        line = hierarchy.l1d[0].probe(BLOCK)
-        assert line is not None and line.state == CoherenceState.MODIFIED
+        assert hierarchy.l1d[0].probe(BLOCK) == CoherenceState.MODIFIED
         assert hierarchy.l1d[1].probe(BLOCK) is None
 
     def test_epoch_counts_remote_actions(self):
@@ -147,8 +144,7 @@ class TestProbeEquivalence:
         return {
             "l1d": [
                 sorted(
-                    (index, line.tag, int(line.state))
-                    for index, line in cache.resident_lines()
+                    (block, int(state)) for block, state in cache.resident_lines()
                 )
                 for cache in hierarchy.l1d
             ],

@@ -39,27 +39,27 @@ class BroadcastController(CoherenceController):
         for remote_id, cache in enumerate(self._caches):
             if remote_id == core_id:
                 continue
-            line = cache.probe(line_address)
-            if line is None or not line.valid:
+            state = cache.probe(line_address)
+            if state is None or not state.is_valid:
                 continue
             result.had_remote_sharers = True
-            if line.state.can_supply and not result.supplied_by_cache:
+            if state.can_supply and not result.supplied_by_cache:
                 result.supplied_by_cache = True
                 result.supplier_core = remote_id
                 self.stats.cache_to_cache_transfers += 1
                 epochs[remote_id] += 1
                 if self.protocol == "MOESI":
-                    if line.state == CoherenceState.MODIFIED:
-                        line.state = CoherenceState.OWNED
-                    elif line.state == CoherenceState.EXCLUSIVE:
-                        line.state = CoherenceState.SHARED
+                    if state == CoherenceState.MODIFIED:
+                        cache.set_state(line_address, CoherenceState.OWNED)
+                    elif state == CoherenceState.EXCLUSIVE:
+                        cache.set_state(line_address, CoherenceState.SHARED)
                 else:
-                    if line.state.is_dirty:
+                    if state.is_dirty:
                         result.writeback_to_memory = True
                         self.stats.writebacks += 1
-                    line.state = CoherenceState.SHARED
-            elif line.state == CoherenceState.EXCLUSIVE:
-                line.state = CoherenceState.SHARED
+                    cache.set_state(line_address, CoherenceState.SHARED)
+            elif state == CoherenceState.EXCLUSIVE:
+                cache.set_state(line_address, CoherenceState.SHARED)
                 epochs[remote_id] += 1
         return result
 
@@ -74,11 +74,11 @@ class BroadcastController(CoherenceController):
         for remote_id, cache in enumerate(self._caches):
             if remote_id == core_id:
                 continue
-            line = cache.probe(line_address)
-            if line is None or not line.valid:
+            state = cache.probe(line_address)
+            if state is None or not state.is_valid:
                 continue
             result.had_remote_sharers = True
-            if line.state.is_dirty and not result.supplied_by_cache:
+            if state.is_dirty and not result.supplied_by_cache:
                 result.supplied_by_cache = True
                 result.supplier_core = remote_id
                 self.stats.cache_to_cache_transfers += 1
@@ -137,13 +137,7 @@ def _pair(num_cores: int, protocol: str):
 
 
 def _contents(caches: Sequence[SetAssociativeCache]):
-    return [
-        [
-            None if lines is None else [(line.tag, line.state) for line in lines]
-            for lines in cache._sets
-        ]
-        for cache in caches
-    ]
+    return [list(cache.resident_lines()) for cache in caches]
 
 
 def _coherence_counts(stats: CoherenceStats):
@@ -164,16 +158,14 @@ def _cache_counts(cache: SetAssociativeCache):
 def _assert_superset(hierarchy: MemoryHierarchy) -> None:
     sharers = hierarchy.coherence._sharers
     for core, cache in enumerate(hierarchy.l1d):
-        for index, line in cache.resident_lines():
-            block = line.tag * cache._num_sets + index
+        for block, _ in cache.resident_lines():
             assert sharers.get(block, 0) >> core & 1, (core, hex(block))
 
 
 def _exact_map(hierarchy: MemoryHierarchy):
     expected = {}
     for core, cache in enumerate(hierarchy.l1d):
-        for index, line in cache.resident_lines():
-            block = line.tag * cache._num_sets + index
+        for block, _ in cache.resident_lines():
             expected[block] = expected.get(block, 0) | 1 << core
     return expected
 
@@ -315,7 +307,7 @@ class TestDowngradesAreCounted:
         caches, controller = _controller("MOESI")
         caches[1].fill(0x1000, CoherenceState.MODIFIED)
         controller.read_request(0, 0x1000)
-        assert caches[1].probe(0x1000).state == CoherenceState.OWNED
+        assert caches[1].probe(0x1000) == CoherenceState.OWNED
         assert caches[1].stats.coherence_downgrades == 1
 
     def test_moesi_exclusive_supplier_becomes_shared(self):
@@ -328,14 +320,14 @@ class TestDowngradesAreCounted:
         caches, controller = _controller("MOESI", num_cores=3)
         caches[1].fill(0x1000, CoherenceState.OWNED)
         controller.read_request(0, 0x1000)
-        assert caches[1].probe(0x1000).state == CoherenceState.OWNED
+        assert caches[1].probe(0x1000) == CoherenceState.OWNED
         assert caches[1].stats.coherence_downgrades == 0
 
     def test_mesi_modified_supplier_becomes_shared(self):
         caches, controller = _controller("MESI")
         caches[1].fill(0x1000, CoherenceState.MODIFIED)
         controller.read_request(0, 0x1000)
-        assert caches[1].probe(0x1000).state == CoherenceState.SHARED
+        assert caches[1].probe(0x1000) == CoherenceState.SHARED
         assert caches[1].stats.coherence_downgrades == 1
         assert caches[0].stats.coherence_downgrades == 0
 
