@@ -28,13 +28,13 @@ Execution engine
 The model above is *interval level*: between two miss events nothing happens
 except dispatch at the effective rate.  :class:`IntervalCore` therefore runs
 an **interval-at-a-time kernel** on the shared execution-kernel layer
-(:mod:`repro.core.kernel`, which also drives the one-IPC model and the
-detailed front end): :meth:`IntervalCore.simulate_interval`
-consumes the columnar trace batch (:class:`~repro.trace.columnar.TraceBatch`)
-directly, tracks the instruction window *implicitly* as a sliding index range
-plus one flag byte per instruction, and charges interval cycles with pure
-arithmetic — the per-instruction object traffic (window entries, access
-results, attribute chains) of a detailed simulator is gone from the hot path.
+(:mod:`repro.core.kernel`, which also drives the one-IPC model):
+:meth:`IntervalCore.simulate_interval` consumes the columnar trace batch
+(:class:`~repro.trace.columnar.TraceBatch`) directly, tracks the instruction
+window *implicitly* as a sliding index range plus one flag byte per
+instruction, and charges interval cycles with pure arithmetic — the
+per-instruction object traffic (window entries, access results, attribute
+chains) of a detailed simulator is gone from the hot path.
 
 Fetches are verified interval-at-a-time through the hierarchy's batched probe
 (:meth:`~repro.memory.hierarchy.MemoryHierarchy.access_block`): one call
@@ -66,12 +66,11 @@ from ..branch import BranchPredictor
 from ..common.config import MachineConfig
 from ..common.stats import CoreStats
 from ..memory.hierarchy import MemoryHierarchy
+from ..multicore.simulator import _SK_BARRIER, _SK_LOCK_ACQUIRE
 from ..multicore.sync import SynchronizationManager
 from ..trace.columnar import KLASS_PLAIN, TraceBatch
 from ..trace.stream import TraceCursor
 from .kernel import (
-    _SK_BARRIER,
-    _SK_LOCK_ACQUIRE,
     F_BROVR as _F_BROVR,
     F_DOVR as _F_DOVR,
     F_IOVR as _F_IOVR,

@@ -29,16 +29,19 @@ out of the original interval implementation:
   skips any position whose flag byte intersects the caller's mask.  The
   interval kernel additionally stores its per-position overlap state in the
   same byte (bits :data:`F_IOVR`/:data:`F_BROVR`/:data:`F_DOVR`).
-* **Synchronization interpreter** —
-  :meth:`ColumnarKernelCore._handle_sync_kind` gives every model the same
-  barrier/lock semantics against the shared
-  :class:`~repro.multicore.sync.SynchronizationManager`.
+* **Blocked-sync spans** — :meth:`ColumnarKernelCore._blocked_stall_span`
+  charges a sync-blocked core's whole handed span at once under the spin
+  reference driver; the barrier/lock interpreter itself,
+  :meth:`~repro.multicore.simulator.CoreModel._handle_sync_kind`, is shared
+  with the detailed model.
 
 Concrete kernels: :class:`~repro.core.interval_core.IntervalCore` (interval
-analysis over an implicit window), :class:`~repro.core.oneipc.OneIPCCore`
-(whole inter-event runs committed as constant-time arithmetic), and the
-detailed model's :class:`~repro.detailed.frontend.FrontEnd` (columnar fetch
-with the batched I-side probe; the back end remains cycle-level).
+analysis over an implicit window) and :class:`~repro.core.oneipc.OneIPCCore`
+(whole inter-event runs committed as constant-time arithmetic).  The detailed
+model (:class:`~repro.detailed.ooo_core.DetailedCore`) follows the same driver
+contract and reads the same columns, but stays cycle-level by design: its
+``simulate_interval`` is one fused per-cycle loop over commit, issue,
+dispatch and fetch.
 """
 
 from __future__ import annotations
@@ -48,10 +51,10 @@ from typing import List, Optional
 
 from ..branch import BranchPredictor
 from ..common.config import MachineConfig
-from ..common.isa import Instruction, InstructionClass, SyncKind
+from ..common.isa import InstructionClass
 from ..common.stats import CoreStats
 from ..memory.hierarchy import MemoryHierarchy
-from ..multicore.simulator import CoreModel
+from ..multicore.simulator import _SK_LOCK_ACQUIRE, CoreModel
 from ..multicore.sync import SynchronizationManager
 from ..trace.columnar import FLAG_NO_FETCH, TraceBatch
 from ..trace.stream import TraceCursor
@@ -78,10 +81,6 @@ KLASS_BRANCH = int(InstructionClass.BRANCH)
 KLASS_SERIALIZING = int(InstructionClass.SERIALIZING)
 KLASS_SYNC = int(InstructionClass.SYNC)
 
-_SK_BARRIER = int(SyncKind.BARRIER)
-_SK_LOCK_ACQUIRE = int(SyncKind.LOCK_ACQUIRE)
-_SK_LOCK_RELEASE = int(SyncKind.LOCK_RELEASE)
-
 # Flag bits, one byte per trace position.  Bits 1/2/4 are the
 # ``I/br/D_overlapped`` flags of the paper's Figure-3 pseudocode (used by the
 # interval kernel's implicit window); bit 8 (shared with the batch's
@@ -103,7 +102,7 @@ class ColumnarKernelCore(CoreModel):
     :class:`~repro.trace.columnar.TraceBatch`, the consumption position
     (``_head``), and the exclusive end of the verified-fetch run
     (``_fetch_limit``, maintained through the hierarchy's batched probes) —
-    plus the shared synchronization interpreter and completion bookkeeping.
+    plus the blocked-sync span helpers and completion bookkeeping.
     Subclasses implement :meth:`simulate_interval` as their kernel loop and
     may extend :meth:`_bind_batch` / :meth:`_finalize_stats`.
     """
@@ -123,8 +122,6 @@ class ColumnarKernelCore(CoreModel):
         self.hierarchy = hierarchy
         self.predictor = predictor
         self.sync = sync
-        self._thread_id: Optional[int] = None
-        self._waiting_barrier: Optional[int] = None
         # Columnar kernel state, bound in bind_thread().
         self._batch: Optional[TraceBatch] = None
         self._n = 0
@@ -196,53 +193,6 @@ class ColumnarKernelCore(CoreModel):
         """Hook for model-specific end-of-run statistics (CPI-stack base)."""
 
     # -- synchronization -----------------------------------------------------------
-
-    def _handle_sync_kind(self, kind: int, sync_object: int, cycle: int = 0) -> bool:
-        """Interpret a synchronization pseudo-instruction.
-
-        Returns ``True`` when the instruction completes (and may be
-        dispatched), ``False`` when the core must stall this cycle.
-        ``cycle`` is the dispatch cycle of the attempt; it stamps any
-        barrier/lock release this op performs so parked waiters resume at
-        the right cycle.
-        """
-        if self.sync is None or self._thread_id is None:
-            return True
-        if kind == _SK_BARRIER:
-            if self._waiting_barrier != sync_object:
-                self.sync.barrier_arrive(
-                    self._thread_id, sync_object, cycle, self.core_id
-                )
-                self._waiting_barrier = sync_object
-                self.stats.barrier_waits += 1
-            if self.sync.barrier_released(sync_object):
-                self._waiting_barrier = None
-                return True
-            return False
-        if kind == _SK_LOCK_ACQUIRE:
-            acquired = self.sync.lock_try_acquire(self._thread_id, sync_object)
-            if acquired:
-                self.stats.lock_acquisitions += 1
-                return True
-            self.stats.lock_contended += 1
-            return False
-        if kind == _SK_LOCK_RELEASE:
-            # Only release locks this thread actually holds; a mismatched
-            # release can occur when functional warm-up skipped the matching
-            # acquire and is simply ignored.
-            if self.sync.lock_holder(sync_object) == self._thread_id:
-                self.sync.lock_release(
-                    self._thread_id, sync_object, cycle, self.core_id
-                )
-            return True
-        # Other sync kinds (spawn/join) are treated as no-ops by the timing model.
-        return True
-
-    def _handle_sync(self, instruction: Instruction, cycle: int = 0) -> bool:
-        """Instruction-object wrapper around :meth:`_handle_sync_kind`."""
-        return self._handle_sync_kind(
-            int(instruction.sync), instruction.sync_object, cycle
-        )
 
     def _blocked_stall_span(self, sim_time: int, run_until: int) -> int:
         """Cycles a sync-blocked core may stall without re-checking.

@@ -38,12 +38,11 @@ from typing import List, Optional
 from ..branch import BranchPredictor
 from ..common.stats import CoreStats
 from ..memory.hierarchy import MemoryHierarchy
-from ..multicore.simulator import CoreModel, MulticoreSimulator
+from ..multicore.simulator import _SK_LOCK_ACQUIRE, CoreModel, MulticoreSimulator
 from ..multicore.sync import SynchronizationManager
 from ..trace.columnar import KLASS_PLAIN, TraceBatch
 from ..trace.stream import TraceCursor
 from .kernel import (
-    _SK_LOCK_ACQUIRE,
     F_NOFETCH as _F_NOFETCH,
     KLASS_BRANCH as _BRANCH,
     KLASS_LOAD as _LOAD,

@@ -25,8 +25,15 @@ private L1i/I-TLB, so committing the hits early preserves each structure's
 access sequence exactly.  The miss itself is completed at the cycle the
 per-instruction loop would have reached it, and is retried after the miss
 latency exactly like the reference formulation (the retry counts a second,
-hitting access).  :class:`~repro.common.isa.Instruction` objects still flow
-through the fetch queue — the back end's ROB genuinely needs them.
+hitting access).  Fetch-queue slots carry trace positions, not
+:class:`~repro.common.isa.Instruction` objects: the back end reads every
+field it needs from the batch columns, so an object is built only for the
+branch predictor.
+
+:meth:`FrontEnd.fetch_cycle` is the per-stage reference.  The detailed core's
+fused cycle loop (:meth:`~repro.detailed.ooo_core.DetailedCore.simulate_interval`)
+runs the same fetch on locals and writes the engine's state back here when
+it returns.
 """
 
 from __future__ import annotations
@@ -63,9 +70,9 @@ class FrontEnd:
         self.predictor = predictor
         self.stats = stats
         self._cursor: Optional[TraceCursor] = None
-        # Entries are (instruction, its class code, cycle at which dispatch
-        # may consume it, predicted_correctly flag for branches).
-        self._queue: Deque[Tuple[Instruction, int, int, bool]] = deque()
+        # Entries are (trace position, its class code, cycle at which
+        # dispatch may consume it, predicted_correctly flag for branches).
+        self._queue: Deque[Tuple[int, int, int, bool]] = deque()
         # The buffer models the fetch queue plus the instructions held in the
         # front-end pipeline stages themselves; without the pipeline-register
         # capacity the 7-cycle front end could never sustain the dispatch
@@ -106,11 +113,6 @@ class FrontEnd:
     # -- state queries -------------------------------------------------------------
 
     @property
-    def queue_length(self) -> int:
-        """Number of instructions buffered in the front end."""
-        return len(self._queue)
-
-    @property
     def exhausted(self) -> bool:
         """``True`` when the stream is consumed and the queue has drained."""
         cursor = self._cursor
@@ -119,11 +121,6 @@ class FrontEnd:
             and cursor.position >= self._length
             and not self._queue
         )
-
-    @property
-    def stalled_on_branch(self) -> bool:
-        """``True`` while fetch waits for a mispredicted branch to resolve."""
-        return self._redirect_pending
 
     @property
     def fetch_quiescent(self) -> bool:
@@ -143,33 +140,6 @@ class FrontEnd:
         if cursor.position >= self._length:
             return True
         return len(self._queue) >= self._capacity
-
-    def fetch_gate(self, cycle: int):
-        """How fetch is gated, evaluated on end-of-cycle state.
-
-        Returns ``0`` when fetch can make progress at ``cycle`` on its own;
-        the wake cycle when only a pending I-miss timer blocks it; or
-        ``None`` when fetch cannot progress without a back-end event (branch
-        redirect, full queue, exhausted stream).  Used by the detailed
-        core's dormant-span skip to prove fetch stays frozen.
-        """
-        cursor = self._cursor
-        if cursor is None or self._redirect_pending:
-            return None
-        if cursor.position >= self._length:
-            return None
-        if len(self._queue) >= self._capacity:
-            return None
-        if cycle < self._fetch_ready_cycle:
-            return self._fetch_ready_cycle
-        return 0
-
-    def head_entry(self):
-        """The queue head's ``(klass_code, dispatch_ready_cycle)``, or ``None``."""
-        if not self._queue:
-            return None
-        _, kcode, dispatch_ready, _ = self._queue[0]
-        return kcode, dispatch_ready
 
     # -- per-cycle operation ----------------------------------------------------------
 
@@ -218,18 +188,15 @@ class FrontEnd:
                     fetch_limit = position + 1
 
             kcode = klass[position]
-            instruction = instructions[position]
-            position += 1
             predicted_correctly = True
             if kcode == _BRANCH:
                 stats.branch_lookups += 1
-                predicted_correctly = self.predictor.access(instruction)
+                predicted_correctly = self.predictor.access(instructions[position])
                 if not predicted_correctly:
                     stats.branch_mispredictions += 1
 
-            queue.append(
-                (instruction, kcode, cycle + fe_depth, predicted_correctly)
-            )
+            queue.append((position, kcode, cycle + fe_depth, predicted_correctly))
+            position += 1
             fetched += 1
 
             if not predicted_correctly:
@@ -244,14 +211,14 @@ class FrontEnd:
     def peek_dispatchable(self, cycle: int):
         """Return the oldest instruction ready for dispatch in ``cycle``.
 
-        Yields ``(instruction, klass_code, predicted_correctly)`` or ``None``.
+        Yields ``(position, klass_code, predicted_correctly)`` or ``None``.
         """
         if not self._queue:
             return None
-        instruction, kcode, dispatch_ready, predicted_correctly = self._queue[0]
+        position, kcode, dispatch_ready, predicted_correctly = self._queue[0]
         if dispatch_ready > cycle:
             return None
-        return instruction, kcode, predicted_correctly
+        return position, kcode, predicted_correctly
 
     def pop_dispatchable(self) -> None:
         """Consume the instruction returned by :meth:`peek_dispatchable`."""

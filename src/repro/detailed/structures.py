@@ -17,10 +17,10 @@ figures.  This module provides its building blocks:
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterator, List, Optional
+from typing import Deque, Iterator, List, Optional, Sequence
 
 from ..common.config import CoreConfig
-from ..common.isa import Instruction, InstructionClass
+from ..common.isa import InstructionClass
 
 __all__ = [
     "RobEntry",
@@ -32,19 +32,20 @@ __all__ = [
 
 
 class RobEntry:
-    """One reorder-buffer slot tracking an instruction's execution state."""
+    """One reorder-buffer slot tracking an instruction's execution state.
+
+    An entry names its instruction by trace position (``pos``); the core
+    reads the instruction's fields from the bound
+    :class:`~repro.trace.columnar.TraceBatch` columns.
+    """
 
     __slots__ = (
-        "instruction",
+        "pos",
         "kcode",
-        "dispatch_cycle",
         "ready_cycle",
-        "issue_cycle",
         "complete_cycle",
         "issued",
-        "completed",
         "mispredicted",
-        "memory_penalty",
         "producers",
         # Event-driven issue-queue state (DetailedCore.event_driven_issue):
         # dispatch-order index, count of still-unissued producers, the cycle
@@ -57,44 +58,29 @@ class RobEntry:
     )
 
     def __init__(
-        self,
-        instruction: Instruction,
-        dispatch_cycle: int,
-        ready_cycle: int,
-        kcode: Optional[int] = None,
+        self, pos: int, kcode: int, ready_cycle: int, mispredicted: bool = False
     ) -> None:
-        self.instruction = instruction
-        # The instruction-class code, passed in by columnar callers (the
-        # dispatch stage reads it off the trace batch) so the stage loops
-        # compare plain ints instead of walking enum property descriptors.
-        self.kcode = int(instruction.klass) if kcode is None else kcode
-        self.dispatch_cycle = dispatch_cycle
+        self.pos = pos
+        # The instruction-class code, read off the trace batch at dispatch so
+        # the stage loops compare plain ints.
+        self.kcode = kcode
         self.ready_cycle = ready_cycle
-        self.issue_cycle: Optional[int] = None
         self.complete_cycle: Optional[int] = None
         self.issued = False
-        self.completed = False
-        self.mispredicted = False
-        self.memory_penalty = 0
+        self.mispredicted = mispredicted
         # Reorder-buffer entries of the in-flight producers of this
         # instruction's source operands (register renaming snapshot taken at
-        # dispatch time).
-        self.producers: List["RobEntry"] = []
+        # dispatch time; per-stage reference only).
+        self.producers: Sequence["RobEntry"] = ()
         self.idx = 0
         self.wait_count = 0
         self.ready_at = ready_cycle
         self.waiters: Optional[List["RobEntry"]] = None
 
-    @property
-    def can_commit(self) -> bool:
-        """``True`` once the instruction has finished executing."""
-        return self.completed
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
-            f"RobEntry(seq={self.instruction.seq}, issued={self.issued}, "
-            f"completed={self.completed}, ready={self.ready_cycle}, "
-            f"complete={self.complete_cycle})"
+            f"RobEntry(pos={self.pos}, issued={self.issued}, "
+            f"ready={self.ready_cycle}, complete={self.complete_cycle})"
         )
 
 

@@ -44,6 +44,11 @@ __all__ = ["CoreModel", "MulticoreSimulator"]
 #: (compares greater than any integer simulated time).
 _UNBOUNDED = float("inf")
 
+# Synchronization-kind codes, hoisted so the timing models compare plain ints.
+_SK_BARRIER = int(SyncKind.BARRIER)
+_SK_LOCK_ACQUIRE = int(SyncKind.LOCK_ACQUIRE)
+_SK_LOCK_RELEASE = int(SyncKind.LOCK_RELEASE)
+
 
 class CoreModel(abc.ABC):
     """Interface every per-core timing model implements.
@@ -77,6 +82,10 @@ class CoreModel(abc.ABC):
         # The shared synchronization manager, or None for single-threaded
         # runs; subclasses that synchronize overwrite this in __init__.
         self.sync: Optional[SynchronizationManager] = None
+        # The bound software thread (set in bind_thread) and the barrier it
+        # has arrived at but not yet passed, for _handle_sync_kind.
+        self._thread_id: Optional[int] = None
+        self._waiting_barrier: Optional[int] = None
 
     def _park(
         self, is_lock: bool, sync_object: int, park_cycle: int, retry_cycle: int
@@ -85,6 +94,49 @@ class CoreModel(abc.ABC):
         self.blocked_on = (is_lock, sync_object)
         self.park_cycle = park_cycle
         self.park_retry_cycle = retry_cycle
+
+    def _handle_sync_kind(self, kind: int, sync_object: int, cycle: int = 0) -> bool:
+        """Interpret a synchronization pseudo-instruction.
+
+        Every timing model gives barriers and locks the same semantics
+        against the shared :class:`~repro.multicore.sync.SynchronizationManager`
+        through this method.  Returns ``True`` when the instruction completes
+        (and may be dispatched), ``False`` when the core must stall this
+        cycle.  ``cycle`` is the dispatch cycle of the attempt; it stamps any
+        barrier/lock release this op performs so parked waiters resume at
+        the right cycle.
+        """
+        if self.sync is None or self._thread_id is None:
+            return True
+        if kind == _SK_BARRIER:
+            if self._waiting_barrier != sync_object:
+                self.sync.barrier_arrive(
+                    self._thread_id, sync_object, cycle, self.core_id
+                )
+                self._waiting_barrier = sync_object
+                self.stats.barrier_waits += 1
+            if self.sync.barrier_released(sync_object):
+                self._waiting_barrier = None
+                return True
+            return False
+        if kind == _SK_LOCK_ACQUIRE:
+            acquired = self.sync.lock_try_acquire(self._thread_id, sync_object)
+            if acquired:
+                self.stats.lock_acquisitions += 1
+                return True
+            self.stats.lock_contended += 1
+            return False
+        if kind == _SK_LOCK_RELEASE:
+            # Only release locks this thread actually holds; a mismatched
+            # release can occur when functional warm-up skipped the matching
+            # acquire and is simply ignored.
+            if self.sync.lock_holder(sync_object) == self._thread_id:
+                self.sync.lock_release(
+                    self._thread_id, sync_object, cycle, self.core_id
+                )
+            return True
+        # Other sync kinds (spawn/join) are treated as no-ops by the timing model.
+        return True
 
     @abc.abstractmethod
     def bind_thread(self, cursor: TraceCursor, thread_id: int) -> None:

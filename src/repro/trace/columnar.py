@@ -10,11 +10,10 @@ one :class:`~repro.common.isa.Instruction` per step through property
 descriptors.
 
 :class:`~repro.common.isa.Instruction` objects remain the interface for the
-structures that genuinely need them: branch predictors (interval, one-IPC
-and functional warm-up build one per branch position) and the detailed
-reference model (one per fetched position).  A synthesized batch builds each
-object on first access and caches it; a batch built from hand-made
-instructions keeps the caller's objects.
+structures that genuinely need them: the branch predictors of every timing
+model and of functional warm-up, which build one per branch position.  A
+synthesized batch builds each object on first access and caches it; a batch
+built from hand-made instructions keeps the caller's objects.
 """
 
 from __future__ import annotations
@@ -58,6 +57,10 @@ KLASS_PLAIN: Tuple[bool, ...] = tuple(
     for code in InstructionClass
 )
 
+
+#: Codes of the classes that access data memory: a hand-built instruction of
+#: one of them must carry a ``mem_addr``.
+_MEMORY_CODES = (int(InstructionClass.LOAD), int(InstructionClass.STORE))
 
 #: Enum members by code, for building instructions from the code columns.
 _CLASSES: Tuple[InstructionClass, ...] = tuple(InstructionClass)
@@ -125,7 +128,8 @@ class TraceBatch:
     ``TraceBatch()``, append records with :meth:`append_records` (and
     overwrite them in place), then call :meth:`seal`.  Hand-built traces
     pass their :class:`~repro.common.isa.Instruction` list, which is
-    converted to columns once and sealed at once.
+    converted to columns once and sealed at once; a load or store without a
+    ``mem_addr`` raises :class:`ValueError` naming its ``seq``.
 
     Attributes
     ----------
@@ -186,6 +190,14 @@ class TraceBatch:
         self.is_call = bytearray(bool(i.is_call) for i in ins)
         self.is_return = bytearray(bool(i.is_return) for i in ins)
         self.is_kernel = bytearray(bool(i.is_kernel) for i in ins)
+        for seq, code, address in zip(self.seq, self.klass, self.mem_addr):
+            if address is None and code in _MEMORY_CODES:
+                # Address 0 is valid; only a missing address is rejected, once
+                # here, so the timing models need no per-access check.
+                raise ValueError(
+                    f"instruction seq {seq}: a {_CLASSES[code].name.lower()} "
+                    "needs a memory address (mem_addr is None)"
+                )
         self.seal()
 
     def append_records(

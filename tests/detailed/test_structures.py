@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.config import CoreConfig
-from repro.common.isa import Instruction, InstructionClass
+from repro.common.isa import InstructionClass
 from repro.detailed.structures import (
     FunctionalUnitPool,
     LoadStoreQueue,
@@ -15,9 +15,8 @@ from repro.detailed.structures import (
 )
 
 
-def entry(seq=0, klass=InstructionClass.INT_ALU):
-    instruction = Instruction(seq=seq, pc=0x1000 + 4 * seq, klass=klass, dst_reg=1)
-    return RobEntry(instruction, dispatch_cycle=0, ready_cycle=1)
+def entry(pos=0, klass=InstructionClass.INT_ALU):
+    return RobEntry(pos, int(klass), ready_cycle=1)
 
 
 class TestReorderBuffer:
@@ -25,9 +24,9 @@ class TestReorderBuffer:
         rob = ReorderBuffer(capacity=4)
         rob.append(entry(0))
         rob.append(entry(1))
-        assert rob.head().instruction.seq == 0
-        assert rob.pop_head().instruction.seq == 0
-        assert rob.head().instruction.seq == 1
+        assert rob.head().pos == 0
+        assert rob.pop_head().pos == 0
+        assert rob.head().pos == 1
 
     def test_capacity(self):
         rob = ReorderBuffer(capacity=2)
@@ -47,7 +46,7 @@ class TestReorderBuffer:
         first.issued = True
         rob.append(first)
         rob.append(second)
-        assert [e.instruction.seq for e in rob.unissued_entries()] == [1]
+        assert [e.pos for e in rob.unissued_entries()] == [1]
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):

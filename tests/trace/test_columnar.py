@@ -16,7 +16,7 @@ from repro.trace.columnar import (
     LazyInstructions,
     TraceBatch,
 )
-from repro.trace.stream import ThreadTrace
+from repro.trace.stream import ThreadTrace, Workload
 from repro.trace.workloads import multithreaded_workload, single_threaded_workload
 
 
@@ -71,6 +71,21 @@ class TestTraceBatch:
         table = batch.latency_table({InstructionClass.LOAD: 9})
         assert table[int(InstructionClass.LOAD)] == 9
         assert table[int(InstructionClass.INT_ALU)] == 1
+
+    @pytest.mark.parametrize("model", ["interval", "oneipc", "detailed"])
+    @pytest.mark.parametrize("klass", [InstructionClass.LOAD, InstructionClass.STORE])
+    def test_memory_access_without_address_is_rejected(self, model, klass):
+        # A hand-built load or store without an address fails once, where
+        # the list becomes columns, with an error naming the instruction —
+        # under every model, before any simulator touches the hierarchy.
+        instructions = _mixed_instructions()
+        instructions.insert(
+            2, Instruction(seq=9, pc=0x1006, klass=klass, src_regs=(3,))
+        )
+        message = r"^instruction seq 9: a (load|store) needs a memory address"
+        with pytest.raises(ValueError, match=message):
+            workload = Workload(name="hand-built", traces=[ThreadTrace(instructions)])
+            Session().simulator(model).workload(workload).run()
 
     def test_klass_plain_excludes_event_capable_classes(self):
         for code in (InstructionClass.LOAD, InstructionClass.STORE,
@@ -169,15 +184,21 @@ class TestLazyMaterialization:
             assert built, "the branch predictors read no instruction"
             assert all(batch.klass[position] == _BRANCH for position in built)
 
-    def test_detailed_builds_every_fetched_position(self):
+    def test_detailed_builds_only_branches(self):
+        # The detailed back end reads every field from the columns; only its
+        # branch predictor (like functional warm-up's) needs an object.
         workload = single_threaded_workload("gcc", instructions=3_000, seed=3)
         Session().simulator("detailed").workload(workload).warmup(1_000).run()
         batch = workload.traces[0].batch()
-        built = set(batch.instructions.built_positions())
-        # Functional warm-up reads only branches; detailed then fetches the
-        # whole timed region.
-        assert set(range(1_000, batch.length)) <= built
-        assert all(batch.klass[position] == _BRANCH for position in built if position < 1_000)
+        built = batch.instructions.built_positions()
+        assert built, "the branch predictor read no instruction"
+        assert all(batch.klass[position] == _BRANCH for position in built)
+        # Every timed branch was fetched, so each one was built.
+        timed_branches = [
+            position for position in range(1_000, batch.length)
+            if batch.klass[position] == _BRANCH
+        ]
+        assert set(timed_branches) <= set(built)
 
 
 class TestCursorAdvance:
