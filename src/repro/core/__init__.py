@@ -2,7 +2,7 @@
 
 This package contains the analytical core timing model: the shared
 interval-at-a-time execution-kernel layer (:mod:`repro.core.kernel`), the
-instruction and old windows (:mod:`repro.core.window`), the per-core
+old window (:mod:`repro.core.window`), the per-core
 interval model
 (:mod:`repro.core.interval_core`), the multi-core interval simulator
 (:mod:`repro.core.interval_sim`), and the one-IPC baseline model the paper
@@ -14,7 +14,7 @@ from .interval_core import IntervalCore
 from .interval_sim import IntervalSimulator
 from .kernel import ColumnarKernelCore
 from .oneipc import OneIPCCore, OneIPCSimulator
-from .window import InstructionWindow, OldWindow, WindowEntry
+from .window import OldWindow
 
 __all__ = [
     "ColumnarKernelCore",
@@ -23,6 +23,4 @@ __all__ = [
     "OldWindow",
     "OneIPCCore",
     "OneIPCSimulator",
-    "InstructionWindow",
-    "WindowEntry",
 ]

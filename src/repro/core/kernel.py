@@ -143,10 +143,7 @@ class ColumnarKernelCore(CoreModel):
         # The cursor position accounts for any functionally-warmed prefix.
         self._head = cursor.position
         self._fetch_limit = self._head
-        shift = self.hierarchy.fetch_run_shift()
-        self._line_runs = (
-            batch.fetch_line_runs(shift) if shift is not None else None
-        )
+        self._line_runs = self.hierarchy.fetch_line_runs(batch)
         self._bind_batch(batch, cursor)
 
     def _bind_batch(self, batch: TraceBatch, cursor: TraceCursor) -> None:

@@ -1,144 +1,33 @@
-"""Window structures of the interval simulator.
+"""The old window of the interval simulator (paper, Section 3.2).
 
 "The simulator maintains a 'window' of instructions for each simulated core
 [...].  This window of instructions corresponds to the reorder buffer of a
 superscalar out-of-order processor, and is used to determine miss events that
-are overlapped by long-latency load misses.  The functional simulator feeds
-instructions into this window at the window tail.  Core-level progress (i.e.,
-timing simulation) is derived by considering the instruction at the window
-head." (paper, Section 3.1)
+are overlapped by long-latency load misses." (paper, Section 3.1)
 
-This module holds *all* the window bookkeeping of the interval model:
-
-* :class:`BoundedWindow` — the capacity-bounded FIFO plumbing common to the
-  instruction window and the old window (Section 3.2), so the two structures
-  share one implementation of their deque mechanics;
-* :class:`WindowEntry` / :class:`InstructionWindow` — the ROB-analogue window
-  with the three overlap flags of the Figure-3 pseudocode (``I_overlapped``,
-  ``br_overlapped``, ``D_overlapped``);
-* :class:`OldWindow` — the Section-3.2 critical-path estimator on the same
-  bounded-FIFO base: effective dispatch rate (Little's law over the critical
-  path), branch resolution time and window drain time.
-
-The interval kernel itself (:mod:`repro.core.interval_core`) tracks the
-window *implicitly* as a sliding index range over the columnar trace batch
-with a flag byte per instruction, and inlines the old-window estimate
-formulas against :class:`OldWindow`'s internals; the explicit structures here
-remain the reference formulation that documents (and tests) the semantics
-the inlined representation must match — the golden-stats regression corpus
-pins the two formulations to bit-identical results, so change them together.
+The interval kernel (:mod:`repro.core.interval_core`) tracks that
+instruction window implicitly, as a sliding index range over the columnar
+trace batch with a flag byte per position for the overlap marks.  What it
+keeps as a structure is the :class:`OldWindow`: the Section-3.2
+critical-path estimator behind the effective dispatch rate (Little's law
+over the critical path), the branch resolution time and the window drain
+time.  The kernel inlines the estimator's formulas against
+:class:`OldWindow`'s internals; the methods here are the readable
+formulation of the same arithmetic, exercised by the unit tests.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, Iterator, Optional
+from typing import Deque, Dict, Iterable, Optional
 
 from ..common.isa import Instruction
 from ..trace.columnar import LINE_SHIFT
 
-__all__ = ["BoundedWindow", "WindowEntry", "InstructionWindow", "OldWindow"]
+__all__ = ["OldWindow"]
 
 
-class BoundedWindow:
-    """Capacity-bounded FIFO bookkeeping shared by the interval windows.
-
-    Both the instruction window and the old window are bounded FIFOs whose
-    capacity equals the reorder-buffer size of the modeled core; this base
-    class owns the deque plumbing so each subclass adds only its semantics.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError("window capacity must be positive")
-        self.capacity = capacity
-        self._entries: Deque = deque()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator:
-        return iter(self._entries)
-
-    @property
-    def is_full(self) -> bool:
-        """``True`` when no more entries can be inserted at the tail."""
-        return len(self._entries) >= self.capacity
-
-    @property
-    def is_empty(self) -> bool:
-        """``True`` when the window holds no entries."""
-        return not self._entries
-
-    def clear(self) -> None:
-        """Remove every entry."""
-        self._entries.clear()
-
-
-class WindowEntry:
-    """One window slot: an instruction plus its overlap flags."""
-
-    __slots__ = ("instruction", "i_overlapped", "br_overlapped", "d_overlapped")
-
-    def __init__(self, instruction: Instruction) -> None:
-        self.instruction = instruction
-        self.i_overlapped = False
-        self.br_overlapped = False
-        self.d_overlapped = False
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        flags = "".join(
-            flag if value else "-"
-            for flag, value in (
-                ("I", self.i_overlapped),
-                ("B", self.br_overlapped),
-                ("D", self.d_overlapped),
-            )
-        )
-        return f"WindowEntry({self.instruction!r}, overlaps={flags})"
-
-
-class InstructionWindow(BoundedWindow):
-    """A bounded FIFO of in-flight instructions (the ROB analogue).
-
-    The window is filled at the tail from the functional instruction stream
-    and drained at the head by the interval model.  Its capacity equals the
-    reorder-buffer size of the modeled core.
-    """
-
-    def head(self) -> Optional[WindowEntry]:
-        """The entry at the window head (next to be handled), or ``None``."""
-        if not self._entries:
-            return None
-        return self._entries[0]
-
-    def push_tail(self, instruction: Instruction) -> WindowEntry:
-        """Insert a new instruction at the window tail."""
-        if self.is_full:
-            raise OverflowError("instruction window is full")
-        entry = WindowEntry(instruction)
-        self._entries.append(entry)
-        return entry
-
-    def pop_head(self) -> WindowEntry:
-        """Remove and return the entry at the window head."""
-        if not self._entries:
-            raise IndexError("instruction window is empty")
-        return self._entries.popleft()
-
-    def entries_after_head(self) -> Iterator[WindowEntry]:
-        """Iterate over entries from just after the head to the tail.
-
-        Used by the overlap scan: upon a long-latency load at the head, the
-        model walks the remaining window contents to find independent miss
-        events hidden underneath the load.
-        """
-        iterator = iter(self._entries)
-        next(iterator, None)  # skip the head
-        return iterator
-
-
-class OldWindow(BoundedWindow):
+class OldWindow:
     """Dataflow-based critical-path tracker for dispatched instructions.
 
     Section 3.2 of the paper introduces the *old window approach*:
@@ -171,9 +60,8 @@ class OldWindow(BoundedWindow):
     instruction) — the estimates never look at anything else.  The
     operand-level entry points (:meth:`ready_time`, :meth:`insert_operands`)
     are the *reference formulation* of the estimator: the interval kernel
-    inlines exactly these formulas against the window's internals for speed,
-    and the golden-stats regression corpus pins the two formulations to
-    bit-identical results — change them together.
+    inlines exactly these formulas against the window's internals for
+    speed, so change them together.
 
     Parameters
     ----------
@@ -186,18 +74,23 @@ class OldWindow(BoundedWindow):
     """
 
     def __init__(self, capacity: int, dispatch_width: int) -> None:
-        super().__init__(capacity)
+        if capacity <= 0:
+            raise ValueError("window capacity must be positive")
         if dispatch_width <= 0:
             raise ValueError("dispatch width must be positive")
+        self.capacity = capacity
         self.dispatch_width = dispatch_width
-        # ``_entries`` (from BoundedWindow) holds one issue time per retained
-        # instruction, oldest first.
+        # One issue time per retained instruction, oldest first.
+        self._entries: Deque[float] = deque()
         self._head_time = 0.0
         self._tail_time = 0.0
         # Producer tables: architectural register -> issue time of its last
         # writer; cache-line address -> issue time of the last store to it.
         self._register_ready: Dict[int, float] = {}
         self._store_ready: Dict[int, float] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
     # -- properties ----------------------------------------------------------------
 
@@ -309,8 +202,7 @@ class OldWindow(BoundedWindow):
         """Operand-level :meth:`insert` — the kernel's reference formulation.
 
         :meth:`~repro.core.interval_core.IntervalCore.simulate_interval`
-        inlines this exact sequence (kept in lock-step by the golden-stats
-        regression corpus); edit both together.
+        inlines this exact sequence; edit both together.
         """
         if latency < 0:
             raise ValueError("latency must be non-negative")
@@ -338,10 +230,6 @@ class OldWindow(BoundedWindow):
             if removed > self._head_time:
                 self._head_time = removed
         return issue_time
-
-    def clear(self) -> None:
-        """Alias for :meth:`empty`: clearing must also reset the estimator state."""
-        self.empty()
 
     def empty(self) -> None:
         """Empty the old window (called at every miss event).

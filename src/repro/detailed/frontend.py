@@ -105,10 +105,7 @@ class FrontEnd:
         self._length = batch.length
         # The cursor position accounts for any functionally-warmed prefix.
         self._fetch_limit = cursor.position
-        shift = self.hierarchy.fetch_run_shift()
-        self._line_runs = (
-            batch.fetch_line_runs(shift) if shift is not None else None
-        )
+        self._line_runs = self.hierarchy.fetch_line_runs(batch)
 
     # -- state queries -------------------------------------------------------------
 

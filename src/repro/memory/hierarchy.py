@@ -27,13 +27,16 @@ same-line run) rather than per instruction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..common.config import MachineConfig, MemoryConfig, PerfectStructures
 from .cache import CoherenceState, SetAssociativeCache
 from .coherence import CoherenceController, SnoopResult
 from .dram import MainMemory
 from .tlb import TLB
+
+if TYPE_CHECKING:
+    from ..trace.columnar import TraceBatch
 
 __all__ = ["AccessResult", "MemoryHierarchy"]
 
@@ -227,21 +230,22 @@ class MemoryHierarchy:
         """Number of cores the hierarchy serves."""
         return len(self.l1d)
 
-    def fetch_run_shift(self) -> Optional[int]:
-        """The line shift batched fetch probes can exploit run columns for.
+    def fetch_line_runs(self, batch: "TraceBatch") -> Optional[List[int]]:
+        """The ``line_runs`` column batched fetch probes accept for ``batch``.
 
-        Returns the L1i offset-bit count when :meth:`access_block` /
-        :meth:`warm_block` accept a precomputed
+        Returns ``batch``'s
         :meth:`~repro.trace.columnar.TraceBatch.fetch_line_runs` column built
-        with that shift, or ``None`` when the configuration rules the fast
-        path out (an idealized I-side structure, or the degenerate geometry
-        where a same-line repeat does not imply a same-page repeat).
+        with the L1i offset-bit count, which :meth:`access_block` /
+        :meth:`warm_block` use to commit whole same-line runs at once, or
+        ``None`` when the configuration rules that fast path out (an
+        idealized I-side structure, or the degenerate geometry where a
+        same-line repeat does not imply a same-page repeat).
         """
         if self._perfect_itlb or self._perfect_l1i:
             return None
         if not self._fetch_block_implies_page:
             return None
-        return self._l1i_offset_bits
+        return batch.fetch_line_runs(self._l1i_offset_bits)
 
     # -- instruction side ---------------------------------------------------------
 
@@ -352,13 +356,12 @@ class MemoryHierarchy:
         per instruction, which is what lets the interval kernel charge a whole
         inter-miss interval in one step.
 
-        ``line_runs``, when provided, must be the
-        :meth:`~repro.trace.columnar.TraceBatch.fetch_line_runs` column of
-        the same ``addresses`` sequence built with this hierarchy's
-        :meth:`fetch_run_shift` — each whole same-line run of memo hits then
-        commits as one arithmetic step, so the probe costs O(line
-        transitions) instead of O(instructions).  Ignored for configurations
-        :meth:`fetch_run_shift` rules out.
+        ``line_runs``, when provided, must be this hierarchy's
+        :meth:`fetch_line_runs` column of the batch whose ``pc`` column is
+        ``addresses`` — each whole same-line run of memo hits then commits
+        as one arithmetic step, so the probe costs O(line transitions)
+        instead of O(instructions).  Ignored for configurations
+        :meth:`fetch_line_runs` rules out.
         """
         if stop is None:
             stop = len(addresses)
@@ -503,9 +506,9 @@ class MemoryHierarchy:
         the access pattern functional warm-up and the overlap scan need,
         where the miss latency is not charged to anyone.  Entries whose
         ``flags`` byte intersects ``flag_mask`` are skipped.  ``line_runs``
-        has :meth:`access_block` semantics: a matching
-        :meth:`~repro.trace.columnar.TraceBatch.fetch_line_runs` column turns
-        whole same-line runs into arithmetic commits.
+        has :meth:`access_block` semantics: the hierarchy's
+        :meth:`fetch_line_runs` column turns whole same-line runs into
+        arithmetic commits.
         """
         if stop is None:
             stop = len(addresses)

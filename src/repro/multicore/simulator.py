@@ -539,12 +539,7 @@ class MulticoreSimulator(abc.ABC):
                 instructions = batch.instructions
                 skip_sync = batch.fetch_skip_template if batch.has_sync else None
                 run_ends = batch.plain_run_ends()
-                run_shift = hierarchy.fetch_run_shift()
-                line_runs = (
-                    batch.fetch_line_runs(run_shift)
-                    if run_shift is not None
-                    else None
-                )
+                line_runs = hierarchy.fetch_line_runs(batch)
                 thread_id = cursor.trace.thread_id
                 position = cursor.position
                 fetch_limit = fetch_done[index]

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..common import fastpath
 from ..common.isa import Instruction, InstructionClass, SyncKind
 
 __all__ = [
@@ -251,18 +250,11 @@ class TraceBatch:
         # per-position flag test entirely (single-threaded traces).
         sync_code = int(InstructionClass.SYNC)
         self.has_sync = bool(self.klass.count(sync_code))
-        np = fastpath.numpy
-        if self.has_sync and np is not None:
-            codes = np.array(self.klass, dtype=np.int64)
-            template = bytearray(
-                ((codes == sync_code) * FLAG_NO_FETCH).astype(np.uint8).tobytes()
-            )
-        else:
-            template = bytearray(self.length)
-            if self.has_sync:
-                for position, code in enumerate(self.klass):
-                    if code == sync_code:
-                        template[position] = FLAG_NO_FETCH
+        template = bytearray(self.length)
+        if self.has_sync:
+            for position, code in enumerate(self.klass):
+                if code == sync_code:
+                    template[position] = FLAG_NO_FETCH
         self.fetch_skip_template = template
         return self
 
@@ -284,26 +276,16 @@ class TraceBatch:
         ends = self._plain_run_ends
         if ends is not None:
             return ends
-        np = fastpath.numpy
+        klass = self.klass
         length = self.length
-        if np is not None and length:
-            # Event-capable positions point at themselves, plain positions at
-            # the trace end; a reversed running minimum then snaps every
-            # plain position to the nearest event at or after it.
-            codes = np.array(self.klass, dtype=np.int64)
-            plain = np.array(KLASS_PLAIN, dtype=bool)[codes]
-            cand = np.where(plain, length, np.arange(length, dtype=np.int64))
-            ends = np.minimum.accumulate(cand[::-1])[::-1].tolist()
-        else:
-            klass = self.klass
-            ends = [0] * length
-            next_event = length
-            for position in range(length - 1, -1, -1):
-                if KLASS_PLAIN[klass[position]]:
-                    ends[position] = next_event
-                else:
-                    ends[position] = position
-                    next_event = position
+        ends = [0] * length
+        next_event = length
+        for position in range(length - 1, -1, -1):
+            if KLASS_PLAIN[klass[position]]:
+                ends[position] = next_event
+            else:
+                ends[position] = position
+                next_event = position
         self._plain_run_ends = ends
         return ends
 
@@ -322,33 +304,19 @@ class TraceBatch:
         """
         runs = self._line_runs.get(offset_bits)
         if runs is None:
+            pcs = self.pc
             length = self.length
-            np = fastpath.numpy
-            if np is not None and length:
-                blocks = np.array(self.pc, dtype=np.int64) >> offset_bits
-                # Last-of-run positions point one past themselves, everything
-                # else at the trace end; a reversed running minimum gives each
-                # position its run's exclusive end.
-                boundary = np.empty(length, dtype=bool)
-                np.not_equal(blocks[1:], blocks[:-1], out=boundary[:-1])
-                boundary[-1] = True
-                cand = np.where(
-                    boundary, np.arange(1, length + 1, dtype=np.int64), length
-                )
-                runs = np.minimum.accumulate(cand[::-1])[::-1].tolist()
-            else:
-                pcs = self.pc
-                runs = [0] * length
-                if length:
-                    runs[length - 1] = length
-                    next_block = pcs[length - 1] >> offset_bits
-                    for position in range(length - 2, -1, -1):
-                        block = pcs[position] >> offset_bits
-                        if block == next_block:
-                            runs[position] = runs[position + 1]
-                        else:
-                            runs[position] = position + 1
-                            next_block = block
+            runs = [0] * length
+            end = length
+            next_block = None
+            for position in range(length - 1, -1, -1):
+                # A position whose line differs from its successor's ends
+                # the run that contains it.
+                block = pcs[position] >> offset_bits
+                if block != next_block:
+                    end = position + 1
+                    next_block = block
+                runs[position] = end
             self._line_runs[offset_bits] = runs
         return runs
 

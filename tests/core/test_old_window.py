@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.isa import Instruction, InstructionClass
 from repro.core.window import OldWindow
-from repro.core.window import InstructionWindow
 
 
 def alu(seq, dst, srcs=()):
@@ -159,6 +158,40 @@ class TestEmpty:
             OldWindow(capacity=16, dispatch_width=0)
 
 
+class TestCapacity:
+    def test_length_grows_to_capacity_and_stays_there(self):
+        window = OldWindow(capacity=4, dispatch_width=4)
+        for i in range(10):
+            window.insert(alu(i, dst=i + 1), latency=1)
+            assert len(window) == min(i + 1, 4)
+
+    def test_eviction_removes_the_oldest_entry_first(self):
+        window = OldWindow(capacity=2, dispatch_width=4)
+        # Independent instructions issue at head time + latency: 10, 3, 7.
+        for seq, latency in enumerate((10, 3, 7)):
+            window.insert(alu(seq, dst=seq + 1), latency=latency)
+        # The oldest entry (issued at 10) left, not the earliest-issued one.
+        assert window.head_time == 10.0
+        # The next eviction removes the entry issued at 3; the head time
+        # keeps its maximum.
+        window.insert(alu(3, dst=4), latency=1)
+        assert window.head_time == 10.0
+        assert window.tail_time == 11.0
+        assert len(window) == 2
+
+    def test_capacity_still_bounds_the_window_after_empty(self):
+        window = OldWindow(capacity=3, dispatch_width=4)
+        for i in range(5):
+            window.insert(alu(i, dst=1, srcs=(1,)), latency=2)
+        window.empty()
+        for i in range(5):
+            window.insert(alu(i, dst=1, srcs=(1,)), latency=2)
+        assert len(window) == 3
+        # Two evictions from the fresh chain 2, 4, 6, 8, 10: head at 4.
+        assert window.head_time == 4.0
+        assert window.critical_path_length == 6.0
+
+
 class TestOldWindowProperties:
     @given(
         latencies=st.lists(st.integers(1, 20), min_size=1, max_size=120),
@@ -185,42 +218,3 @@ class TestOldWindowProperties:
         rate = window.effective_dispatch_rate(256)
         assert 0 < rate <= width
 
-
-class TestInstructionWindow:
-    def test_fifo_order(self):
-        window = InstructionWindow(capacity=4)
-        for i in range(3):
-            window.push_tail(alu(i, dst=1))
-        assert window.head().instruction.seq == 0
-        assert window.pop_head().instruction.seq == 0
-        assert window.head().instruction.seq == 1
-
-    def test_capacity_enforced(self):
-        window = InstructionWindow(capacity=2)
-        window.push_tail(alu(0, dst=1))
-        window.push_tail(alu(1, dst=1))
-        assert window.is_full
-        with pytest.raises(OverflowError):
-            window.push_tail(alu(2, dst=1))
-
-    def test_pop_empty_rejected(self):
-        with pytest.raises(IndexError):
-            InstructionWindow(capacity=2).pop_head()
-
-    def test_entries_after_head(self):
-        window = InstructionWindow(capacity=8)
-        for i in range(5):
-            window.push_tail(alu(i, dst=1))
-        seqs = [entry.instruction.seq for entry in window.entries_after_head()]
-        assert seqs == [1, 2, 3, 4]
-
-    def test_overlap_flags_default_false(self):
-        window = InstructionWindow(capacity=2)
-        entry = window.push_tail(alu(0, dst=1))
-        assert not entry.i_overlapped and not entry.br_overlapped and not entry.d_overlapped
-
-    def test_clear(self):
-        window = InstructionWindow(capacity=4)
-        window.push_tail(alu(0, dst=1))
-        window.clear()
-        assert window.is_empty

@@ -18,10 +18,14 @@ side.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.common.config import default_machine_config
+from repro.common.config import PerfectStructures, TLBConfig, default_machine_config
+from repro.common.isa import Instruction, InstructionClass
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.trace.columnar import TraceBatch
 
 
 def _fresh_pair():
@@ -165,3 +169,72 @@ class TestFetchMemoSafety:
         hierarchy.reset_fetch_memo()
         result = hierarchy.instruction_probe(0, 0x40_0000, 0)
         assert result is not None and result.l1_miss
+
+
+def _fetch_batch(pcs):
+    return TraceBatch([
+        Instruction(seq=seq, pc=pc, klass=InstructionClass.INT_ALU)
+        for seq, pc in enumerate(pcs)
+    ])
+
+
+#: FETCH_STREAM twice over, so the second pass runs on warm lines.
+RUN_STREAM = FETCH_STREAM + FETCH_STREAM
+
+
+class TestFetchLineRuns:
+    def test_column_is_the_batch_column_at_the_l1i_line_shift(self):
+        hierarchy, _ = _fresh_pair()
+        batch = _fetch_batch(RUN_STREAM)
+        line_bits = default_machine_config().memory.l1i.line_size.bit_length() - 1
+        assert hierarchy.fetch_line_runs(batch) is batch.fetch_line_runs(line_bits)
+
+    @pytest.mark.parametrize("structure", ["l1i", "itlb"])
+    def test_perfect_fetch_structure_rules_the_column_out(self, structure):
+        config = default_machine_config().with_perfect(
+            PerfectStructures(**{structure: True})
+        )
+        hierarchy = MemoryHierarchy(config)
+        assert hierarchy.fetch_line_runs(_fetch_batch(RUN_STREAM)) is None
+
+    def test_lines_larger_than_pages_rule_the_column_out(self):
+        config = default_machine_config()
+        memory = replace(config.memory, itlb=TLBConfig(page_size=32))
+        hierarchy = MemoryHierarchy(replace(config, memory=memory))
+        assert hierarchy.fetch_line_runs(_fetch_batch(RUN_STREAM)) is None
+
+    @pytest.mark.parametrize("flagged", [False, True])
+    def test_access_block_with_runs_matches_the_per_position_probe(self, flagged):
+        """Run commits stop at the same miss and leave the same state."""
+        with_runs, reference = _fresh_pair()
+        batch = _fetch_batch(RUN_STREAM)
+        runs = with_runs.fetch_line_runs(batch)
+        pcs = batch.pc
+        flags = bytearray(i % 5 == 3 for i in range(len(pcs))) if flagged else None
+        # Blocks of 7 positions end inside runs as well as at their ends.
+        for start in range(0, len(pcs), 7):
+            stop = min(start + 7, len(pcs))
+            index = start
+            while index < stop:
+                reached = with_runs.access_block(0, pcs, index, stop, flags, 1, runs)
+                expected = reference.access_block(0, pcs, index, stop, flags, 1)
+                assert reached == expected
+                assert _fetch_state(with_runs) == _fetch_state(reference)
+                if reached < stop:
+                    # Complete the miss in both, as the kernel's caller does.
+                    with_runs.instruction_probe(0, pcs[reached], 0)
+                    reference.instruction_probe(0, pcs[reached], 0)
+                index = reached + 1
+        assert _fetch_state(with_runs) == _fetch_state(reference)
+
+    def test_warm_block_with_runs_matches_the_per_position_warm_up(self):
+        with_runs, reference = _fresh_pair()
+        batch = _fetch_batch(RUN_STREAM)
+        runs = with_runs.fetch_line_runs(batch)
+        pcs = batch.pc
+        for start in range(0, len(pcs), 7):
+            stop = min(start + 7, len(pcs))
+            assert with_runs.warm_block(
+                0, pcs, start, stop, 0, line_runs=runs
+            ) == reference.warm_block(0, pcs, start, stop, 0)
+            assert _fetch_state(with_runs) == _fetch_state(reference)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import random
 import weakref
 
 import pytest
@@ -271,6 +272,70 @@ class TestPlainRunEnds:
                 assert end == batch.length or not KLASS_PLAIN[batch.klass[end]]
             else:
                 assert end == position
+
+
+def _random_instructions(count, seed):
+    """Mostly sequential fetch with occasional far jumps, mixed classes."""
+    rng = random.Random(seed)
+    classes = [
+        InstructionClass.INT_ALU,
+        InstructionClass.FP_ALU,
+        InstructionClass.LOAD,
+        InstructionClass.STORE,
+        InstructionClass.BRANCH,
+        InstructionClass.SYNC,
+    ]
+    instructions = []
+    pc = 0x400000
+    for seq in range(count):
+        klass = rng.choice(classes)
+        kwargs = {}
+        if klass in (InstructionClass.LOAD, InstructionClass.STORE):
+            kwargs["mem_addr"] = rng.randrange(0, 1 << 32) & ~0x3
+        if klass is InstructionClass.SYNC:
+            kwargs["sync"] = SyncKind.BARRIER
+            kwargs["sync_object"] = rng.randrange(4)
+        instructions.append(
+            Instruction(seq=seq, pc=pc, klass=klass, dst_reg=1, **kwargs)
+        )
+        # The jumps give line runs both long stretches and single-instruction
+        # transitions.
+        pc = rng.randrange(0, 1 << 30) & ~0x3 if rng.random() < 0.05 else pc + 4
+    return instructions
+
+
+def test_fetch_line_runs_semantics():
+    """Each run entry points one past the last instruction on the same line."""
+    batch = TraceBatch(_random_instructions(800, seed=7))
+    for bits in (6, 12):
+        runs = batch.fetch_line_runs(bits)
+        assert len(runs) == len(batch)
+        for index, end in enumerate(runs):
+            assert index < end <= len(batch)
+            base = batch.pc[index] >> bits
+            # Everything inside the run shares the line ...
+            assert all(batch.pc[pos] >> bits == base for pos in range(index, end))
+            # ... and the run is maximal.
+            if end < len(batch):
+                assert batch.pc[end] >> bits != base
+        # Cached per shift: the same list object comes back.
+        assert batch.fetch_line_runs(bits) is runs
+    assert TraceBatch([]).fetch_line_runs(6) == []
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fetch_line_runs_match_a_forward_scan(seed):
+    """The reverse-scan builder agrees with the run definition read forwards."""
+    batch = TraceBatch(_random_instructions(600, seed=seed))
+    pcs = batch.pc
+    for bits in (0, 2, 6, 12, 31):
+        expected = []
+        for index in range(len(pcs)):
+            end = index + 1
+            while end < len(pcs) and pcs[end] >> bits == pcs[index] >> bits:
+                end += 1
+            expected.append(end)
+        assert batch.fetch_line_runs(bits) == expected
 
 
 class TestHasSync:
