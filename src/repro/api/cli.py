@@ -41,6 +41,7 @@ from typing import Dict, List, Optional, Sequence
 from ..common.config import default_machine_config
 from ..common.metrics import percentage_error
 from ..experiments.presets import PRESET_NAMES
+from ..multicore.simulator import CycleLimitExceeded
 from .bench import add_bench_arguments, run_bench_command
 from .registry import (
     InvalidOptionError,
@@ -603,6 +604,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise
+    except CycleLimitExceeded as exc:
+        # A run that hits --max-cycles is a result, not a crash: one line,
+        # exit 1.  The simulator's invariant errors keep their tracebacks.
+        if args.debug:
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (UnknownSimulatorError, InvalidOptionError, ValueError, KeyError, OSError) as exc:
         # ValueError/KeyError are how the workload and figure layers report
         # bad user input (unknown benchmark, wrong suite for a figure); they

@@ -68,7 +68,7 @@ from ..common.stats import CoreStats
 from ..memory.hierarchy import MemoryHierarchy
 from ..multicore.simulator import _SK_BARRIER, _SK_LOCK_ACQUIRE
 from ..multicore.sync import SynchronizationManager
-from ..trace.columnar import KLASS_PLAIN, TraceBatch
+from ..trace.columnar import KLASS_PLAIN, LINE_SHIFT, TraceBatch
 from ..trace.stream import TraceCursor
 from .kernel import (
     F_BROVR as _F_BROVR,
@@ -200,7 +200,6 @@ class IntervalCore(ColumnarKernelCore):
         klass = batch.klass
         pcs = batch.pc
         addrs = batch.mem_addr
-        lines = batch.mem_line
         srcs_col = batch.src_regs
         dst_col = batch.dst_reg
         sync_kind_col = batch.sync_kind
@@ -506,8 +505,9 @@ class IntervalCore(ColumnarKernelCore):
                         produced = reg_ready.get(register)
                         if produced is not None and produced > ready:
                             ready = produced
-                    mem_line = lines[head]
-                    if mem_line is not None:
+                    address = addrs[head]
+                    if address is not None:
+                        mem_line = address >> LINE_SHIFT
                         stored = store_ready.get(mem_line)
                         if stored is not None and stored > ready:
                             ready = stored
@@ -518,7 +518,7 @@ class IntervalCore(ColumnarKernelCore):
                     dst = dst_col[head]
                     if dst is not None:
                         reg_ready[dst] = issue
-                    if k == _STORE and mem_line is not None:
+                    if k == _STORE and address is not None:
                         store_ready[mem_line] = issue
                         if len(store_ready) > trim_at:
                             ow._trim_store_table()
@@ -618,7 +618,6 @@ class IntervalCore(ColumnarKernelCore):
         klass = batch.klass
         pcs = batch.pc
         addrs = batch.mem_addr
-        lines = batch.mem_line
         srcs_col = batch.src_regs
         dst_col = batch.dst_reg
         instrs = batch.instructions
@@ -677,9 +676,9 @@ class IntervalCore(ColumnarKernelCore):
                         if dst is not None:
                             tainted_registers.add(dst)
                         if klass[position] == _STORE:
-                            mem_line = lines[position]
-                            if mem_line is not None:
-                                tainted_lines.add(mem_line)
+                            address = addrs[position]
+                            if address is not None:
+                                tainted_lines.add(address >> LINE_SHIFT)
                     position += 1
                 continue
 
@@ -697,8 +696,8 @@ class IntervalCore(ColumnarKernelCore):
                     dependent = True
                     break
             if not dependent and k == _LOAD:
-                mem_line = lines[position]
-                if mem_line is not None and mem_line in tainted_lines:
+                address = addrs[position]
+                if address is not None and address >> LINE_SHIFT in tainted_lines:
                     dependent = True
 
             if k == _BRANCH:

@@ -18,8 +18,8 @@ out of the original interval implementation:
   blocked core charges its whole handed span as stall instead.
 * **Columnar cursor plumbing** — :meth:`ColumnarKernelCore.bind_thread`
   resolves the bound cursor's trace to its cached
-  :class:`~repro.trace.columnar.TraceBatch` once, so kernels index plain
-  per-field lists instead of pulling :class:`~repro.common.isa.Instruction`
+  :class:`~repro.trace.columnar.TraceBatch` once, so kernels index
+  per-field columns instead of pulling :class:`~repro.common.isa.Instruction`
   objects through property chains; the cursor position stays the shared
   currency between columnar and object consumers.
 * **Flag-byte fetch templates** — each batch pre-marks positions that never
@@ -47,7 +47,7 @@ dispatch and fetch.
 from __future__ import annotations
 
 import abc
-from typing import List, Optional
+from typing import Optional, Sequence
 
 from ..branch import BranchPredictor
 from ..common.config import MachineConfig
@@ -129,7 +129,7 @@ class ColumnarKernelCore(CoreModel):
         self._fetch_limit = 0
         # Fetch-line run column for the hierarchy's batched probes, or None
         # when the configuration rules the run-column fast path out.
-        self._line_runs: Optional[List[int]] = None
+        self._line_runs: Optional[Sequence[int]] = None
 
     # -- CoreModel interface -----------------------------------------------------
 

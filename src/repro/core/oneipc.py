@@ -33,7 +33,7 @@ golden corpus).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional, Sequence
 
 from ..branch import BranchPredictor
 from ..common.stats import CoreStats
@@ -59,7 +59,7 @@ class OneIPCCore(ColumnarKernelCore):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._run_ends: List[int] = []
+        self._run_ends: Sequence[int] = ()
 
     def _bind_batch(self, batch: TraceBatch, cursor: TraceCursor) -> None:
         """Cache the batch's plain-run column for the arithmetic commits."""

@@ -39,7 +39,7 @@ it returns.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, List, Optional, Sequence, Tuple
 
 from ..branch import BranchPredictor
 from ..common.config import CoreConfig
@@ -84,7 +84,7 @@ class FrontEnd:
         self._fetch_ready_cycle = 0
         self._redirect_pending = False
         # Columnar view of the bound trace, set in bind().
-        self._pcs: List[int] = []
+        self._pcs: Sequence[int] = ()
         self._klass: List[int] = []
         self._instructions: List[Instruction] = []
         self._length = 0
@@ -93,7 +93,7 @@ class FrontEnd:
         self._fetch_limit = 0
         # Fetch-line run column for the batched probe (None when the
         # configuration rules the run-column fast path out).
-        self._line_runs: Optional[List[int]] = None
+        self._line_runs: Optional[Sequence[int]] = None
 
     def bind(self, cursor: TraceCursor) -> None:
         """Attach the functional instruction stream."""

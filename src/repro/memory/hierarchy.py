@@ -230,7 +230,7 @@ class MemoryHierarchy:
         """Number of cores the hierarchy serves."""
         return len(self.l1d)
 
-    def fetch_line_runs(self, batch: "TraceBatch") -> Optional[List[int]]:
+    def fetch_line_runs(self, batch: "TraceBatch") -> Optional[Sequence[int]]:
         """The ``line_runs`` column batched fetch probes accept for ``batch``.
 
         Returns ``batch``'s

@@ -5,11 +5,12 @@ per-core model interface; :mod:`repro.multicore.sync` provides barrier/lock
 semantics for multi-threaded workloads.
 """
 
-from .simulator import CoreModel, MulticoreSimulator
+from .simulator import CoreModel, CycleLimitExceeded, MulticoreSimulator
 from .sync import SynchronizationManager, SyncStats
 
 __all__ = [
     "CoreModel",
+    "CycleLimitExceeded",
     "MulticoreSimulator",
     "SynchronizationManager",
     "SyncStats",

@@ -38,7 +38,7 @@ from ..trace.columnar import FLAG_NO_FETCH, KLASS_PLAIN
 from ..trace.stream import TraceCursor, Workload
 from .sync import SynchronizationManager, WakeRecord
 
-__all__ = ["CoreModel", "MulticoreSimulator"]
+__all__ = ["CoreModel", "CycleLimitExceeded", "MulticoreSimulator"]
 
 #: Sentinel upper bound for a core that can run to completion uninterrupted
 #: (compares greater than any integer simulated time).
@@ -48,6 +48,15 @@ _UNBOUNDED = float("inf")
 _SK_BARRIER = int(SyncKind.BARRIER)
 _SK_LOCK_ACQUIRE = int(SyncKind.LOCK_ACQUIRE)
 _SK_LOCK_RELEASE = int(SyncKind.LOCK_RELEASE)
+
+
+class CycleLimitExceeded(RuntimeError):
+    """The multi-core simulated time passed the run's ``max_cycles`` bound.
+
+    A :class:`RuntimeError`, so existing handlers still catch it.  Its one
+    argument is the message, which keeps it picklable out of worker
+    processes.
+    """
 
 
 class CoreModel(abc.ABC):
@@ -246,8 +255,8 @@ class MulticoreSimulator(abc.ABC):
             of the configured machine.
         max_cycles:
             Optional safety bound on the multi-core simulated time; exceeding
-            it raises :class:`RuntimeError` (useful to catch synchronization
-            deadlocks in tests).
+            it raises :class:`CycleLimitExceeded` (useful to catch
+            synchronization deadlocks in tests).
         warmup_instructions:
             Number of leading instructions per thread used for *functional
             warming*: they update the caches, TLBs and branch predictors but
@@ -352,7 +361,7 @@ class MulticoreSimulator(abc.ABC):
             core_time, core_id, core = heappop(event_queue)
             events_popped += 1
             if max_cycles is not None and core_time > max_cycles:
-                raise RuntimeError(
+                raise CycleLimitExceeded(
                     f"simulation exceeded {max_cycles} cycles "
                     f"(possible deadlock in {workload.name!r})"
                 )

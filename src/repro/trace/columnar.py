@@ -1,13 +1,32 @@
 """Columnar (struct-of-arrays) storage of a thread trace.
 
 A :class:`TraceBatch` is the one storage of a committed instruction stream:
-parallel per-field lists (opcode/latency class, fetch PC, effective address,
-dependence registers, branch outcome, synchronization kind) that the trace
-generators write directly and every timing model reads by position.  The
-interval kernel executes whole intervals per step, scanning thousands of
-positions between miss events, so it reads the columns instead of pulling
-one :class:`~repro.common.isa.Instruction` per step through property
-descriptors.
+parallel per-field columns (opcode/latency class, fetch PC, effective
+address, dependence registers, branch outcome, synchronization kind) that
+the trace generators write directly and every timing model reads by
+position.  The interval kernel executes whole intervals per step, scanning
+thousands of positions between miss events, so it reads the columns instead
+of pulling one :class:`~repro.common.isa.Instruction` per step through
+property descriptors.
+
+Each column has one storage type, chosen by how it is read:
+
+* ``list`` for the columns the kernels read at every position (``klass``,
+  ``mem_addr``, ``src_regs``, ``dst_reg``, ``sync_object``): CPython
+  specializes an integer subscript of a ``list`` but not of an ``array`` or
+  a ``bytearray``.  ``src_regs`` entries are shared tuples (the generators
+  draw them from one table), so equal entries are one object.
+* ``array('q')`` for the wide-integer columns read once per line
+  transition, run or event (``seq``, ``pc``, ``branch_target`` and the
+  derived :meth:`TraceBatch.plain_run_ends` and
+  :meth:`TraceBatch.fetch_line_runs` columns): 8 bytes per position instead
+  of a pointer plus an ``int`` object.
+* ``bytearray`` for the small codes and flags (``is_taken``, ``sync_kind``,
+  ``is_call``, ``is_return``, ``is_kernel``): one byte per position.
+
+Compare a column with ``list(column)``; an ``array`` never equals a ``list``.
+There is no line column: consumers derive a data line as
+``mem_addr >> LINE_SHIFT`` where they need it.
 
 :class:`~repro.common.isa.Instruction` objects remain the interface for the
 structures that genuinely need them: the branch predictors of every timing
@@ -18,6 +37,7 @@ built from hand-made instructions keeps the caller's objects.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..common.isa import Instruction, InstructionClass, SyncKind
@@ -65,6 +85,9 @@ _MEMORY_CODES = (int(InstructionClass.LOAD), int(InstructionClass.STORE))
 _CLASSES: Tuple[InstructionClass, ...] = tuple(InstructionClass)
 _SYNC_KINDS: Tuple[SyncKind, ...] = tuple(SyncKind)
 
+#: One zero of the wide-integer column type; ``_ZERO * n`` makes a column.
+_ZERO = array("q", (0,))
+
 
 class LazyInstructions:
     """The instructions of a synthesized batch, each built on first access.
@@ -108,7 +131,7 @@ class LazyInstructions:
         return Instruction(
             seq[pos], pc[pos], _CLASSES[klass[pos]], src[pos], dst[pos], addr[pos],
             8,  # mem_size: every synthesized access is one 8-byte word
-            taken[pos], target[pos], call[pos] == 1, ret[pos] == 1,
+            taken[pos] == 1, target[pos], call[pos] == 1, ret[pos] == 1,
             _SYNC_KINDS[sync[pos]], obj[pos], self._thread_id, kernel[pos] == 1,
         )
 
@@ -132,6 +155,10 @@ class TraceBatch:
 
     Attributes
     ----------
+    Every column has one position per instruction and one storage type (see
+    the module docstring for the list-versus-array rule); compare a column
+    with ``list(column)``.
+
     instructions:
         ``instructions[pos]`` is the :class:`~repro.common.isa.Instruction`
         at ``pos``.  For a hand-built batch this is the caller's own list.
@@ -140,31 +167,36 @@ class TraceBatch:
         until then); it builds each object on first access and caches it,
         so ``instructions[pos] is instructions[pos]``.
     seq:
-        Per-thread dynamic sequence numbers.
+        ``array('q')``: per-thread dynamic sequence numbers.
     klass:
-        Instruction-class codes (``int(InstructionClass)``), which double as
-        the latency-class column: execution latencies are resolved through a
-        per-run 12-entry table indexed by this code.
+        ``list``: instruction-class codes (``int(InstructionClass)``), which
+        double as the latency-class column: execution latencies are resolved
+        through a per-run 12-entry table indexed by this code.
     pc:
-        Fetch addresses.
-    mem_addr / mem_line:
-        Effective byte address of loads/stores (``None`` otherwise) and its
-        :data:`LINE_SHIFT`-aligned line number used for memory dependences.
+        ``array('q')``: fetch addresses.
+    mem_addr:
+        ``list``: effective byte address of loads/stores, ``None`` at every
+        other position.  Memory dependences track the line
+        ``mem_addr >> LINE_SHIFT``; address 0 is a valid line.
     src_regs / dst_reg:
-        Register dependence columns.
+        ``list``: register dependence columns, a tuple of source registers
+        (equal synthesized tuples are one shared object) and the destination
+        register or ``None``.
     sync_kind / sync_object:
-        Synchronization pseudo-op columns (``int(SyncKind)`` codes).
+        Synchronization pseudo-op columns: ``bytearray`` of ``int(SyncKind)``
+        codes and ``list`` of object identifiers.
     is_taken / branch_target:
         Branch outcome columns (the actual direction and target), the source
-        of the ``is_taken``/``branch_target`` fields of built instructions.
+        of the ``is_taken``/``branch_target`` fields of built instructions:
+        ``bytearray`` (0 or 1) and ``array('q')``.
     is_call / is_return / is_kernel:
-        One byte per position (0 or 1): call/return markers for the
-        return-address stack and the full-system kernel-mode flag.
+        ``bytearray`` (0 or 1): call/return markers for the return-address
+        stack and the full-system kernel-mode flag.
     """
 
     __slots__ = (
-        "instructions", "seq", "klass", "pc", "mem_addr", "mem_line",
-        "src_regs", "dst_reg", "sync_kind", "sync_object", "is_taken",
+        "instructions", "seq", "klass", "pc", "mem_addr", "src_regs",
+        "dst_reg", "sync_kind", "sync_object", "is_taken",
         "branch_target", "is_call", "is_return", "is_kernel",
         "fetch_skip_template", "has_sync", "length", "_plain_run_ends", "_line_runs",
     )
@@ -176,16 +208,16 @@ class TraceBatch:
         # Per-column list comprehensions keep the conversion a handful of
         # tight loops; it runs once per hand-built trace.
         ins = instructions or ()
-        self.seq: List[int] = [i.seq for i in ins]
+        self.seq = array("q", [i.seq for i in ins])
         self.klass: List[int] = [int(i.klass) for i in ins]
-        self.pc: List[int] = [i.pc for i in ins]
+        self.pc = array("q", [i.pc for i in ins])
         self.mem_addr: List[Optional[int]] = [i.mem_addr for i in ins]
         self.src_regs: List[Tuple[int, ...]] = [i.src_regs for i in ins]
         self.dst_reg: List[Optional[int]] = [i.dst_reg for i in ins]
-        self.sync_kind: List[int] = [int(i.sync) for i in ins]
+        self.sync_kind = bytearray(int(i.sync) for i in ins)
         self.sync_object: List[int] = [i.sync_object for i in ins]
-        self.is_taken: List[bool] = [i.is_taken for i in ins]
-        self.branch_target: List[int] = [i.branch_target for i in ins]
+        self.is_taken = bytearray(bool(i.is_taken) for i in ins)
+        self.branch_target = array("q", [i.branch_target for i in ins])
         self.is_call = bytearray(bool(i.is_call) for i in ins)
         self.is_return = bytearray(bool(i.is_return) for i in ins)
         self.is_kernel = bytearray(bool(i.is_kernel) for i in ins)
@@ -218,17 +250,17 @@ class TraceBatch:
         placeholders this way and overwrites the fields it draws in place.
         """
         n = len(seqs)
-        self.seq += seqs
+        self.seq.extend(seqs)
         self.klass += [klass] * n
-        self.pc += pcs
+        self.pc.extend(pcs)
         self.mem_addr += addresses
         self.src_regs += [src_regs] * n
         self.dst_reg += [None] * n
-        self.sync_kind += [sync_kind] * n
+        self.sync_kind += bytes((sync_kind,)) * n
         self.sync_object += [sync_object] * n
-        self.is_taken += [False] * n
-        self.branch_target += [0] * n
         flags = bytes(n)
+        self.is_taken += flags
+        self.branch_target += _ZERO * n
         self.is_call += flags
         self.is_return += flags
         self.is_kernel += flags
@@ -236,14 +268,13 @@ class TraceBatch:
     def seal(self) -> "TraceBatch":
         """Derive the read-side columns once the source columns are complete.
 
-        Builds ``mem_line``, ``has_sync`` and the fetch-skip template and
-        drops the cached run columns.  Returns the batch.
+        Builds ``has_sync`` and the fetch-skip template and drops the cached
+        run columns.  Returns the batch.
         """
         self.length = len(self.klass)
-        self._plain_run_ends: Optional[List[int]] = None
+        self._plain_run_ends: Optional[Sequence[int]] = None
         # Per-shift cache of the fetch-line run column (see fetch_line_runs).
-        self._line_runs: Dict[int, List[int]] = {}
-        self.mem_line = [None if a is None else a >> LINE_SHIFT for a in self.mem_addr]
+        self._line_runs: Dict[int, Sequence[int]] = {}
         # Per-position flag-byte template: consumers copy it to seed their
         # own flag array with the positions that must never be fetched.
         # has_sync lets consumers that never set their own flags skip the
@@ -261,7 +292,7 @@ class TraceBatch:
     def __len__(self) -> int:
         return self.length
 
-    def plain_run_ends(self) -> List[int]:
+    def plain_run_ends(self) -> Sequence[int]:
         """Exclusive end of the plain run starting at each position.
 
         ``plain_run_ends()[i]`` is the index of the first instruction at or
@@ -278,7 +309,7 @@ class TraceBatch:
             return ends
         klass = self.klass
         length = self.length
-        ends = [0] * length
+        ends = _ZERO * length
         next_event = length
         for position in range(length - 1, -1, -1):
             if KLASS_PLAIN[klass[position]]:
@@ -289,7 +320,7 @@ class TraceBatch:
         self._plain_run_ends = ends
         return ends
 
-    def fetch_line_runs(self, offset_bits: int) -> List[int]:
+    def fetch_line_runs(self, offset_bits: int) -> Sequence[int]:
         """Exclusive end of the same-fetch-line run containing each position.
 
         ``fetch_line_runs(b)[i]`` is the index of the first position after
@@ -306,7 +337,7 @@ class TraceBatch:
         if runs is None:
             pcs = self.pc
             length = self.length
-            runs = [0] * length
+            runs = _ZERO * length
             end = length
             next_block = None
             for position in range(length - 1, -1, -1):

@@ -36,7 +36,7 @@ from ..common.isa import InstructionClass, SyncKind
 from .columnar import TraceBatch
 from .profiles import WorkloadProfile
 from .stream import ThreadTrace, Workload
-from .synthetic import SyntheticTraceGenerator, _SHARED_BASE
+from .synthetic import SyntheticTraceGenerator, _ONE, _SHARED_BASE
 
 __all__ = ["MultiThreadedTraceGenerator", "generate_multithreaded_workload"]
 
@@ -165,7 +165,7 @@ class MultiThreadedTraceGenerator:
         count = len(addresses)
         batch.append_records(
             [0] * count, int(InstructionClass.STORE), [_SHARED_INIT_PC] * count,
-            addresses, (1,),
+            addresses, _ONE[1],
         )
 
     def _phase_shares(self, phase_work: int) -> List[int]:

@@ -73,8 +73,8 @@ class ThreadTrace:
         """The columnar (struct-of-arrays) storage of this trace.
 
         Every cursor over the trace shares it, so the interval kernel reads
-        plain list columns instead of an
-        :class:`~repro.common.isa.Instruction` attribute chain per step.
+        columns instead of an :class:`~repro.common.isa.Instruction`
+        attribute chain per step.
         """
         return self._batch
 

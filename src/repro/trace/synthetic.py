@@ -94,6 +94,13 @@ _SERIALIZING = int(InstructionClass.SERIALIZING)
 #: reserved): ``randrange(1, NUM_ARCH_REGISTERS)`` inlined.
 _NUM_REGS = NUM_ARCH_REGISTERS - 1
 _REG_BITS = _NUM_REGS.bit_length()
+#: Every source-register tuple a generator writes, ``_ONE[a] == (a,)`` and
+#: ``_TWO[a][b] == (a, b)``: equal ``src_regs`` entries are one shared object
+#: instead of a fresh tuple per position.
+_ONE = tuple((a,) for a in range(NUM_ARCH_REGISTERS))
+_TWO = tuple(
+    tuple((a, b) for b in range(NUM_ARCH_REGISTERS)) for a in range(NUM_ARCH_REGISTERS)
+)
 
 
 def _slots(width: int, step: int) -> int:
@@ -258,7 +265,7 @@ class SyntheticTraceGenerator:
         pcs = [pc + 4 * (index % _INIT_PC_SLOTS) for index in range(len(addresses))]
         seq = self._seq
         self._seq = seq + len(addresses)
-        batch.append_records(range(seq, self._seq), _STORE, pcs, addresses, (1,))
+        batch.append_records(range(seq, self._seq), _STORE, pcs, addresses, _ONE[1])
 
     def emit(self, batch: TraceBatch, count: int) -> None:
         """Append the next ``count`` dynamic instructions to ``batch``.
@@ -424,7 +431,7 @@ class SyntheticTraceGenerator:
                         call_col[i] = 1
                     taken = True
                     function_base = target - target % _FUNCTION_SIZE
-                src_col[i] = (source(0.55),)
+                src_col[i] = _ONE[source(0.55)]
                 taken_col[i] = taken
                 target_col[i] = target
                 block_remaining = 0
@@ -462,10 +469,10 @@ class SyntheticTraceGenerator:
                         # A dependent (pointer-chasing) load goes to an
                         # unpredictable location in the larger working set: it
                         # misses the L1 and serializes with its producer.
-                        src_col[i] = (last_load_dst,)
+                        src_col[i] = _ONE[last_load_dst]
                         address = l2_base + _WORD_BYTES * _randbelow(getrandbits, l2_words)
                     else:
-                        src_col[i] = (source(0.55),)
+                        src_col[i] = _ONE[source(0.55)]
                     r = getrandbits(_REG_BITS)
                     while r >= _NUM_REGS:
                         r = getrandbits(_REG_BITS)
@@ -474,16 +481,16 @@ class SyntheticTraceGenerator:
                     if len(recent) > 256:
                         del recent[:128]
                 else:
-                    src_col[i] = (source(0.55), source(0.55))
+                    src_col[i] = _TWO[source(0.55)][source(0.55)]
                 addr_col[i] = address
             elif code != _SERIALIZING:
                 # -- ALU/FP operation with register dependences: the first
                 # source often names a fresh producer, a second one is mostly
                 # a long-lived value --
                 if random_() < 0.7:
-                    src_col[i] = (source(0.55), source(0.30))
+                    src_col[i] = _TWO[source(0.55)][source(0.30)]
                 else:
-                    src_col[i] = (source(0.55),)
+                    src_col[i] = _ONE[source(0.55)]
                 r = getrandbits(_REG_BITS)
                 while r >= _NUM_REGS:
                     r = getrandbits(_REG_BITS)

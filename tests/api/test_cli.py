@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from repro.api.cli import UsageError, main
+from repro.multicore.simulator import CycleLimitExceeded
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -154,6 +155,30 @@ class TestInProcessCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "instructions must be at least 1" in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["run", "--simulator", "interval"],
+            ["compare", "--simulators", "interval,detailed"],
+            ["compare", "--simulators", "interval,detailed", "--workers", "2"],
+        ],
+        ids=["run", "compare", "compare-workers"],
+    )
+    def test_cycle_limit_is_a_one_line_error(self, command, capsys):
+        # The overrun crosses the worker pool intact and prints one line.
+        code = main([*command, "--benchmark", "gcc", "--instructions", "4000",
+                     "--warmup", "1000", "--max-cycles", "10"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: simulation exceeded 10 cycles (possible deadlock in 'gcc')\n"
+        )
+
+    def test_cycle_limit_reraises_under_debug(self):
+        with pytest.raises(CycleLimitExceeded, match="exceeded 10 cycles"):
+            main(["--debug", "run", "--simulator", "interval", "--benchmark", "gcc",
+                  "--instructions", "4000", "--max-cycles", "10"])
 
     def test_figure_smoke(self, capsys):
         code = main(["figure", "5", "--preset", "quick", "--benchmarks", "gcc"])

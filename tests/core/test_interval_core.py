@@ -10,6 +10,7 @@ from repro.common.isa import Instruction, InstructionClass
 from repro.common.stats import CoreStats
 from repro.core import IntervalCore, IntervalSimulator, OneIPCSimulator
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.multicore.simulator import CycleLimitExceeded
 from repro.trace.stream import ThreadTrace, Workload
 from repro.trace.workloads import single_threaded_workload
 
@@ -140,6 +141,50 @@ class TestMissEvents:
         assert stack_total == pytest.approx(core.cpi, rel=0.01)
 
 
+class TestMemoryDependence:
+    """A load depends on the last older store to its line, line 0 included."""
+
+    PERFECT = PerfectStructures(branch_predictor=True, l1i=True, l1d=True, l2=True,
+                                itlb=True, dtlb=True)
+
+    @staticmethod
+    def _store_load_loop(store_addr, load_addr, iterations=40):
+        # A divide chain feeds the store; the load reads the stored line and
+        # feeds a second chain, so the store-to-load edge sets the critical
+        # path and with it the effective dispatch rate.
+        instructions = []
+
+        def add(klass, **fields):
+            pc = 0x400000 + 4 * (len(instructions) % 16)
+            instructions.append(
+                Instruction(seq=len(instructions), pc=pc, klass=klass, **fields)
+            )
+
+        for _ in range(iterations):
+            add(InstructionClass.FP_DIV, dst_reg=1)
+            for _ in range(5):
+                add(InstructionClass.FP_DIV, src_regs=(1,), dst_reg=1)
+            add(InstructionClass.STORE, src_regs=(1,), mem_addr=store_addr)
+            add(InstructionClass.LOAD, dst_reg=2, mem_addr=load_addr)
+            for _ in range(6):
+                add(InstructionClass.FP_DIV, src_regs=(2,), dst_reg=2)
+            add(InstructionClass.INT_ALU, dst_reg=3)
+            add(InstructionClass.INT_ALU, dst_reg=3)
+        return instructions
+
+    def _cycles(self, store_addr, load_addr):
+        machine = default_machine_config(1).with_perfect(self.PERFECT)
+        stats, _ = run_core_on(self._store_load_loop(store_addr, load_addr), machine)
+        return stats.cycles
+
+    def test_line_zero_carries_the_dependence_like_any_line(self):
+        # Addresses 0 and 8 share line 0; 0x1000 and 0x1008 share line 0x40.
+        through_line_zero = self._cycles(0, 8)
+        assert through_line_zero == self._cycles(0x1000, 0x1008)
+        # The edge is real: a load from another line runs faster.
+        assert self._cycles(0, 0x48) < through_line_zero
+
+
 class TestIntervalSimulator:
     def test_runs_real_workload(self, single_core_machine, small_gcc_workload):
         stats = IntervalSimulator(single_core_machine).run(small_gcc_workload)
@@ -177,7 +222,7 @@ class TestIntervalSimulator:
 
     def test_max_cycles_guard(self, single_core_machine):
         workload = single_threaded_workload("mcf", instructions=20_000, seed=1)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(CycleLimitExceeded):
             IntervalSimulator(single_core_machine).run(workload, max_cycles=10)
 
     def test_perfect_everything_reaches_design_width(self):

@@ -47,13 +47,16 @@ class TestTraceBatch:
             int(InstructionClass.BRANCH),
             int(InstructionClass.SYNC),
         ]
-        assert batch.pc == [0x1000, 0x1004, 0x1008, 0x100C, 0x1010]
+        assert list(batch.pc) == [0x1000, 0x1004, 0x1008, 0x100C, 0x1010]
         assert batch.mem_addr == [None, 0x8040, 0x80C0, None, None]
-        assert batch.mem_line == [None, 0x8040 >> LINE_SHIFT, 0x80C0 >> LINE_SHIFT,
-                                  None, None]
+        # There is no line column: a data line is derived from the address.
+        assert not hasattr(batch, "mem_line")
+        assert [None if a is None else a >> LINE_SHIFT for a in batch.mem_addr] == [
+            None, 0x8040 >> LINE_SHIFT, 0x80C0 >> LINE_SHIFT, None, None
+        ]
         assert batch.src_regs[0] == (1, 2)
         assert batch.dst_reg[:2] == [3, 4]
-        assert batch.is_taken[3] is True
+        assert list(batch.is_taken) == [0, 0, 0, 1, 0]
         assert batch.branch_target[3] == 0x2000
         assert batch.sync_kind[4] == int(SyncKind.BARRIER)
         assert batch.sync_object[4] == 7
@@ -243,7 +246,7 @@ class TestPlainRunEnds:
         ]
         ends = TraceBatch(instructions).plain_run_ends()
         # Positions 0-2 are one plain run ending at the load (position 3).
-        assert ends[:3] == [3, 3, 3]
+        assert list(ends[:3]) == [3, 3, 3]
         # Event-capable positions map to themselves.
         assert ends[3] == 3 and ends[5] == 5
         # The lone plain instruction between two events runs to the branch.
@@ -256,7 +259,7 @@ class TestPlainRunEnds:
             Instruction(seq=2, pc=0x1008, klass=InstructionClass.NOP),
         ]
         ends = TraceBatch(instructions).plain_run_ends()
-        assert ends == [0, 3, 3]
+        assert list(ends) == [0, 3, 3]
 
     def test_column_is_cached(self):
         batch = TraceBatch(_mixed_instructions())
@@ -320,7 +323,7 @@ def test_fetch_line_runs_semantics():
                 assert batch.pc[end] >> bits != base
         # Cached per shift: the same list object comes back.
         assert batch.fetch_line_runs(bits) is runs
-    assert TraceBatch([]).fetch_line_runs(6) == []
+    assert list(TraceBatch([]).fetch_line_runs(6)) == []
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -335,7 +338,7 @@ def test_fetch_line_runs_match_a_forward_scan(seed):
             while end < len(pcs) and pcs[end] >> bits == pcs[index] >> bits:
                 end += 1
             expected.append(end)
-        assert batch.fetch_line_runs(bits) == expected
+        assert list(batch.fetch_line_runs(bits)) == expected
 
 
 class TestHasSync:
