@@ -17,15 +17,6 @@ Subcommands:
 ``figure``
     Reproduce one paper artifact (Figures 4–10 or the ablations) at a
     chosen budget preset.
-``serve``
-    Run the persistent job server: accept sweep submissions, dedup them
-    against the content-addressed result store, execute uncached jobs on
-    worker pools and stream results back (see :mod:`repro.service`).
-``submit``
-    Submit a sweep to a running server and print/persist the results.
-``worker``
-    Attach this host's cores to a running server as an extra worker pool.
-
 Everything funnels through the same :mod:`repro.api` layer the programmatic
 interface uses; the CLI adds only argument parsing and rendering.
 """
@@ -56,9 +47,21 @@ from .spec import SweepSpec, WorkloadSpec
 __all__ = ["main", "build_parser"]
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose errors are one ``error:`` line and exit 2.
+
+    argparse's own errors (a malformed value, an unknown or missing
+    subcommand) otherwise print a multi-line usage block first; ``--help``
+    still prints the full usage.
+    """
+
+    def error(self, message: str):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the ``python -m repro`` argument parser."""
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="repro",
         description="Interval simulation reproduction (Genbrugge, Eyerman & "
         "Eeckhout, HPCA 2010): run simulators, sweeps and paper figures.",
@@ -68,7 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="show full tracebacks instead of one-line error messages",
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
+    subparsers = parser.add_subparsers(
+        dest="command", required=True, parser_class=_ArgumentParser
+    )
 
     subparsers.add_parser(
         "list-simulators", help="list registered timing models and their options"
@@ -118,84 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the simulator-throughput suite and write BENCH_throughput.json",
     )
     add_bench_arguments(bench_parser)
-
-    serve_parser = subparsers.add_parser(
-        "serve",
-        help="run the persistent job server (spec-hash result cache, "
-        "checkpoint/resume)",
-    )
-    serve_parser.add_argument(
-        "--host", default=None, help="bind address (default: 127.0.0.1)"
-    )
-    serve_parser.add_argument(
-        "--port", type=int, default=None, help="TCP port (default: 8750)"
-    )
-    serve_parser.add_argument(
-        "--store",
-        metavar="DIR",
-        default=None,
-        help="result-store directory (default: ~/.cache/repro/results)",
-    )
-    serve_parser.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="local worker processes; 0 = rely entirely on attached "
-        "`repro worker` hosts (default: 2)",
-    )
-
-    submit_parser = subparsers.add_parser(
-        "submit", help="submit a sweep to a running `repro serve`"
-    )
-    _add_workload_arguments(submit_parser)
-    submit_parser.add_argument(
-        "--simulators",
-        default="interval",
-        help="comma-separated registry names (default: interval)",
-    )
-    submit_parser.add_argument(
-        "--host", default=None, help="server address (default: 127.0.0.1)"
-    )
-    submit_parser.add_argument(
-        "--port", type=int, default=None, help="server port (default: 8750)"
-    )
-    submit_parser.add_argument(
-        "--timeout", type=float, default=600.0, help="socket timeout in seconds"
-    )
-    submit_parser.add_argument(
-        "--connect-timeout",
-        type=float,
-        default=None,
-        help="per-attempt connection timeout in seconds (default: --timeout)",
-    )
-    submit_parser.add_argument(
-        "--connect-retries",
-        type=int,
-        default=3,
-        help="extra connection attempts with exponential backoff when the "
-        "server is not accepting yet (default: 3)",
-    )
-    submit_parser.add_argument(
-        "--results", metavar="PATH", default=None, help="save the RunResults as JSON"
-    )
-    submit_parser.add_argument(
-        "--ping",
-        action="store_true",
-        help="only probe that the server answers; exit 0/1 (readiness check)",
-    )
-
-    worker_parser = subparsers.add_parser(
-        "worker", help="attach this host to a running `repro serve` as a worker pool"
-    )
-    worker_parser.add_argument(
-        "--connect",
-        metavar="HOST:PORT",
-        default=None,
-        help="server address (default: 127.0.0.1:8750)",
-    )
-    worker_parser.add_argument(
-        "--workers", type=int, default=2, help="worker processes (default: 2)"
-    )
 
     figure_parser = subparsers.add_parser(
         "figure", help="reproduce one paper artifact"
@@ -435,115 +362,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _service_defaults() -> tuple:
-    from ..service.protocol import DEFAULT_HOST, DEFAULT_PORT
-
-    return DEFAULT_HOST, DEFAULT_PORT
-
-
-def _configure_service_logging() -> None:
-    """Route service logs to stdout (the server log CI and scripts grep)."""
-    import logging
-
-    logging.basicConfig(
-        level=logging.INFO,
-        format="%(asctime)s %(name)s: %(message)s",
-        stream=sys.stdout,
-    )
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from ..service.server import run_server
-
-    _configure_service_logging()
-    default_host, default_port = _service_defaults()
-    return run_server(
-        store_dir=args.store,
-        host=args.host if args.host is not None else default_host,
-        port=args.port if args.port is not None else default_port,
-        workers=args.workers,
-    )
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    from ..service.client import ServiceClient, ServiceError
-
-    default_host, default_port = _service_defaults()
-    client = ServiceClient(
-        host=args.host if args.host is not None else default_host,
-        port=args.port if args.port is not None else default_port,
-        timeout=args.timeout,
-        connect_timeout=args.connect_timeout,
-        connect_retries=args.connect_retries,
-    )
-    if args.ping:
-        if client.ping():
-            print(f"server at {client.host}:{client.port} is up")
-            return 0
-        print(f"no server at {client.host}:{client.port}", file=sys.stderr)
-        return 1
-
-    names = [name.strip() for name in args.simulators.split(",") if name.strip()]
-    if not names:
-        raise UsageError("--simulators needs at least one name")
-    specs: List[SweepSpec] = []
-    for name in names:
-        get_simulator(name)  # fail early on unknown names, before connecting
-        specs.append(_spec_from_args(args, name))
-
-    try:
-        outcome = client.submit(specs)
-    except ServiceError as exc:
-        if args.debug:
-            raise
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    rows = []
-    for spec, spec_hash, result in zip(specs, outcome.spec_hashes, outcome.results):
-        rows.append(
-            (
-                result.simulator,
-                result.workload,
-                spec_hash[:12],
-                result.stats.aggregate_ipc,
-                result.stats.total_cycles,
-                result.stats.total_instructions,
-            )
-        )
-    print(
-        _render_table(
-            ["simulator", "workload", "spec hash", "IPC", "cycles", "instructions"],
-            rows,
-            title=f"Sweep via {client.host}:{client.port}",
-        )
-    )
-    print(
-        f"{outcome.total} jobs: {outcome.executed} executed, "
-        f"{outcome.cached} cached, {outcome.joined} joined"
-    )
-    if args.results:
-        save_results(outcome.results, args.results)
-        print(f"results written to {args.results}")
-    return 0
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    from ..service.worker import run_worker
-
-    _configure_service_logging()
-    default_host, default_port = _service_defaults()
-    host, port = default_host, default_port
-    if args.connect:
-        address, separator, port_text = args.connect.rpartition(":")
-        if not separator or not address or not port_text.isdigit():
-            raise UsageError(
-                f"--connect expects HOST:PORT, got {args.connect!r}"
-            )
-        host, port = address, int(port_text)
-    return run_worker(host=host, port=port, workers=args.workers)
-
-
 def _cmd_figure(args: argparse.Namespace) -> int:
     from ..experiments import (
         build_preset_configs,
@@ -595,9 +413,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "compare": _cmd_compare,
         "bench": run_bench_command,
         "figure": _cmd_figure,
-        "serve": _cmd_serve,
-        "submit": _cmd_submit,
-        "worker": _cmd_worker,
     }
     try:
         return handlers[args.command](args)

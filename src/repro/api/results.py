@@ -14,7 +14,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Sequence, Union
 
-from ..common.canonical import canonical_dumps
 from ..common.stats import SimulationStats
 
 __all__ = ["RunResult", "save_results", "load_results"]
@@ -104,15 +103,6 @@ class RunResult:
     def to_json(self, **dumps_kwargs: object) -> str:
         """Serialize this result to a JSON string."""
         return json.dumps(self.as_dict(), **dumps_kwargs)  # type: ignore[arg-type]
-
-    def to_canonical_json(self) -> str:
-        """Canonical JSON encoding (sorted keys, compact separators).
-
-        Two processes serializing equal results produce equal strings, which
-        is what the content-addressed result store checksums and what makes
-        "bit-identical" comparisons between cached and fresh results exact.
-        """
-        return canonical_dumps(self.as_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "RunResult":

@@ -300,70 +300,6 @@ class Session:
         """Execute the configured job and return only its statistics."""
         return self.run().stats
 
-    def run_remote(
-        self,
-        host: Optional[str] = None,
-        port: Optional[int] = None,
-        timeout: Optional[float] = 600.0,
-        connect_timeout: Optional[float] = None,
-        connect_retries: int = 0,
-        retry_backoff: float = 0.1,
-    ) -> RunResult:
-        """Execute the configured job on a running ``repro serve`` instance.
-
-        The job is frozen via :meth:`spec`, shipped to the server, dedup'd
-        against its content-addressed result store and executed only if no
-        cached result exists — because runs are bit-reproducible from their
-        spec, a cache hit returns *exactly* what an execution would.
-
-        ``connect_timeout`` bounds each connection attempt separately from
-        the request ``timeout``; ``connect_retries`` extra attempts are made
-        with exponential backoff (``retry_backoff * 2**attempt`` seconds)
-        when the server is not accepting yet — useful when the client races
-        a server that is still binding its socket.
-        """
-        return Session.run_batch_remote(
-            [self.spec()],
-            host=host,
-            port=port,
-            timeout=timeout,
-            connect_timeout=connect_timeout,
-            connect_retries=connect_retries,
-            retry_backoff=retry_backoff,
-        )[0]
-
-    @staticmethod
-    def run_batch_remote(
-        specs: Sequence[Union[SweepSpec, "Session"]],
-        host: Optional[str] = None,
-        port: Optional[int] = None,
-        timeout: Optional[float] = 600.0,
-        connect_timeout: Optional[float] = None,
-        connect_retries: int = 0,
-        retry_backoff: float = 0.1,
-    ) -> List[RunResult]:
-        """Execute many jobs on a running ``repro serve`` instance.
-
-        The remote counterpart of :meth:`run_batch`: results come back in
-        input order and are bit-identical to a local sequential run of the
-        same specs.  Repeat submissions are served from the server's result
-        store without executing anything.  See :meth:`run_remote` for the
-        connection-robustness parameters.
-        """
-        from ..service.client import ServiceClient
-        from ..service.protocol import DEFAULT_HOST, DEFAULT_PORT
-
-        jobs = [job.spec() if isinstance(job, Session) else job for job in specs]
-        client = ServiceClient(
-            host=host if host is not None else DEFAULT_HOST,
-            port=port if port is not None else DEFAULT_PORT,
-            timeout=timeout,
-            connect_timeout=connect_timeout,
-            connect_retries=connect_retries,
-            retry_backoff=retry_backoff,
-        )
-        return client.submit(jobs).results
-
     @staticmethod
     def run_batch(
         specs: Sequence[Union[SweepSpec, "Session"]], workers: int = 1

@@ -219,10 +219,9 @@ class SweepSpec:
         """Full-fidelity JSON-safe encoding of the job, machine included.
 
         Unlike :meth:`describe` (a human-oriented summary), this round-trips:
-        ``SweepSpec.from_dict(spec.to_dict()) == spec``.  It is the wire
-        format of the job server and the payload the content hash is computed
-        over, so every collection with order-insensitive semantics (option
-        names) is emitted in sorted order.
+        ``SweepSpec.from_dict(spec.to_dict()) == spec``.  It is the payload
+        the content hash is computed over, so every collection with
+        order-insensitive semantics (option names) is emitted in sorted order.
         """
         result: Dict[str, object] = {
             "simulator": self.simulator,
@@ -269,16 +268,15 @@ class SweepSpec:
         """Canonical JSON encoding of :meth:`to_dict` (sorted keys, compact).
 
         Two processes — or two Python versions — building the same spec
-        produce the same string, which makes it usable as a cache key.
+        produce the same string.
         """
         return canonical_dumps(self.to_dict())
 
     def content_hash(self) -> str:
-        """Hex SHA-256 of :meth:`canonical_json` — the spec's cache key.
+        """Hex SHA-256 of :meth:`canonical_json` — the spec's identity.
 
         Because every run is bit-reproducible from its spec (deterministic
-        trace seeding), equal hashes imply bit-identical results: the result
-        store can serve cached statistics as *exact*, not approximate.
+        trace seeding), equal hashes imply bit-identical results.
         """
         return content_digest(self.to_dict())
 

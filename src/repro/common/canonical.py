@@ -1,11 +1,11 @@
-"""Canonical JSON encoding shared by spec hashing and the result store.
+"""Canonical JSON encoding for content hashes.
 
-Content-addressed caching (:mod:`repro.service`) treats a serialized
-:class:`~repro.api.spec.SweepSpec` as a cache key, so two processes — or two
-Python versions — encoding the same spec must produce the same bytes.  Plain
-``json.dumps`` does not guarantee that: dictionary key order follows
-insertion order, which varies with how the spec was built.  This module pins
-the encoding:
+A spec's content hash (:meth:`repro.api.spec.SweepSpec.content_hash`) and
+the benchmark's statistics digests name their payload by its bytes, so two
+processes — or two Python versions — encoding the same data must produce the
+same bytes.  Plain ``json.dumps`` does not guarantee that: dictionary key
+order follows insertion order, which varies with how the spec was built.
+This module pins the encoding:
 
 * keys sorted at every nesting level;
 * compact separators (no whitespace to vary);
@@ -36,7 +36,7 @@ def canonical_dumps(obj: object) -> str:
 def content_digest(obj: object) -> str:
     """Hex SHA-256 digest of the canonical JSON encoding of ``obj``.
 
-    This is the content hash the result store addresses by: equal payloads
-    hash equally regardless of dict ordering or the process that built them.
+    Equal payloads hash equally regardless of dict ordering or the process
+    that built them.
     """
     return hashlib.sha256(canonical_dumps(obj).encode("ascii")).hexdigest()

@@ -8,8 +8,8 @@ the process RNG: every stochastic choice (inter-arrival gaps, retry counts,
 loss draws) is a pure function of the plan's seed and an event index,
 derived through ``zlib.crc32`` exactly like the trace generator's
 process-stable seeding, so a plan embedded in a
-:class:`~repro.api.spec.SweepSpec` hashes, caches and resumes through the
-service layer like any other job input.
+:class:`~repro.api.spec.SweepSpec` hashes and reruns in a ``run_batch``
+worker like any other job input.
 
 Two families of fault kinds exist:
 
@@ -207,7 +207,7 @@ class FaultPlan:
     The plan is immutable and value-compared, so it embeds directly into the
     frozen :class:`~repro.api.spec.SweepSpec`; :meth:`as_dict` round-trips
     through canonical JSON, which is what gives fault runs stable content
-    hashes in the service layer's result store.
+    hashes.
     """
 
     specs: Tuple[FaultSpec, ...] = ()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import sys
 
 import pytest
 
-from repro.api.cli import UsageError, main
+from repro.api.cli import UsageError, build_parser, main
 from repro.multicore.simulator import CycleLimitExceeded
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -195,7 +196,7 @@ class TestUsageErrors:
         "malformed-option": ["run", "--simulator", "interval", "--benchmark", "gcc",
                              "--instructions", "1000", "-o", "use_old_window"],
         "empty-simulators": ["compare", "--simulators", " , ", "--benchmark", "gcc"],
-        "malformed-connect": ["worker", "--connect", "not-an-address"],
+        "empty-bench-shape": ["bench", "--shape", " , "],
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -206,9 +207,86 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err == f"error: {raised.value}\n"
 
-    @pytest.mark.parametrize("case", ["copies-on-single", "malformed-connect"])
+    @pytest.mark.parametrize("case", ["copies-on-single", "empty-bench-shape"])
     def test_subprocess_exits_2_with_one_line(self, case):
         proc = _run_module(*self.CASES[case])
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
+
+class TestArgparseErrors:
+    """argparse's own errors are one ``error:`` line and exit 2, like ours."""
+
+    CASES = {
+        "bad-int": ["run", "--warmup", "abc"],
+        "bad-figure": ["figure", "99"],
+        "missing-subcommand": [],
+        "unknown-subcommand": ["bogus"],
+        "removed-serve": ["serve"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_in_process_exits_2_with_one_line(self, case, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(self.CASES[case])
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: repro") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("case", ["bad-int", "removed-serve"])
+    def test_subprocess_exits_2_with_one_line(self, case):
+        proc = _run_module(*self.CASES[case])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+    def test_help_still_prints_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: repro")
+
+
+def test_subcommands_are_the_local_ones():
+    parser = build_parser()
+    (subparsers,) = [
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert set(subparsers.choices) == {
+        "list-simulators", "run", "compare", "bench", "figure",
+    }
+
+
+class TestUnknownNameErrors:
+    """Unknown simulator/benchmark/shape → non-zero exit + valid names listed."""
+
+    def test_run_unknown_simulator(self):
+        proc = _run_module("run", "--simulator", "nope")
+        assert proc.returncode == 2
+        assert "unknown simulator 'nope'" in proc.stderr
+        for name in ("interval", "detailed", "oneipc"):
+            assert name in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_run_unknown_benchmark(self):
+        proc = _run_module(
+            "run", "--benchmark", "nope", "--instructions", "1000"
+        )
+        assert proc.returncode == 2
+        assert "unknown benchmark" in proc.stderr and "gcc" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_bench_unknown_shape(self):
+        proc = _run_module("bench", "--shape", "nope")
+        assert proc.returncode != 0
+        assert "unknown bench shape 'nope'" in proc.stderr
+        assert "gcc" in proc.stderr and "sync" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_bench_unknown_simulator(self):
+        proc = _run_module("bench", "--simulators", "nope")
+        assert proc.returncode != 0
+        assert "unknown simulator" in proc.stderr and "interval" in proc.stderr
         assert "Traceback" not in proc.stderr

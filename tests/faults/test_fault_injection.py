@@ -15,9 +15,9 @@ from the angles most likely to break it:
 * the observability counters: they flow to ``RunResult`` metrics, they are
   reproducible run to run, and they are *excluded* from the deterministic
   comparison dict;
-* the service-layer property: a faulted spec rebuilt through
-  ``from_dict(to_dict())`` reruns bit-identically, so fault runs cache and
-  resume like any other job.
+* the spec round trip: a faulted spec rebuilt through
+  ``from_dict(to_dict())`` keeps its content hash and reruns bit-identically,
+  as a ``run_batch`` worker rebuilds it.
 """
 
 from __future__ import annotations
@@ -198,7 +198,7 @@ class TestMruDropsOnMemoizedLine:
 
 
 # ---------------------------------------------------------------------------
-# Observability counters and the service-layer contract
+# Observability counters and the spec round trip
 # ---------------------------------------------------------------------------
 
 COMBINED_PLAN = FaultPlan(
@@ -267,7 +267,7 @@ class TestCounters:
             assert counters[name] == expected[name], name
 
 
-class TestServiceContract:
+class TestSpecRoundTrip:
     def test_faulted_spec_round_trip_reruns_bit_identically(self):
         spec = _combined_session().spec()
         rebuilt = type(spec).from_dict(spec.to_dict())

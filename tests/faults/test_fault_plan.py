@@ -1,12 +1,13 @@
 """FaultPlan/FaultSpec: validation, round-trips, and spec-hash neutrality.
 
 The fault schedule is declarative data that rides inside a
-:class:`~repro.api.spec.SweepSpec`, so these tests pin the properties the
-service layer depends on: strict validation at construction, exact
+:class:`~repro.api.spec.SweepSpec`, so these tests pin the properties that
+``run_batch`` (which rebuilds each job from its spec in a worker) and
+``content_hash`` depend on: strict validation at construction, exact
 ``as_dict``/``from_dict`` round-trips, deterministic seeded draws, and —
 critically — that a fault-free spec's canonical encoding (and therefore its
-content hash, its cache key) is byte-identical to what it was before fault
-injection existed: the ``faults`` key is *omitted*, never ``null``.
+content hash) is byte-identical to what it was before fault injection
+existed: the ``faults`` key is *omitted*, never ``null``.
 """
 
 from __future__ import annotations

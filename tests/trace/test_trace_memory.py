@@ -2,7 +2,8 @@
 
 A trace sets the simulator's peak memory, so its storage is pinned here: the
 retained bytes per instruction of a cold build with both run columns, each
-column's storage type, and the sharing of equal source-register tuples.
+column's storage type, the sharing of equal source-register tuples, and the
+lazy instruction view that costs nothing until a position is read.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import pytest
 from repro.common.config import default_machine_config
 from repro.common.isa import Instruction, InstructionClass
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.trace.columnar import TraceBatch
+from repro.trace.columnar import LazyInstructions, TraceBatch
 from repro.trace.workloads import multithreaded_workload, single_threaded_workload
 
 #: Retained bytes per instruction allowed for a cold gcc build plus its
@@ -108,3 +109,25 @@ def test_hand_built_columns_have_their_declared_storage():
     _check_column_types(batch)
     assert list(batch.branch_target) == [0, 0x2000, 0]
     _check_column_types(TraceBatch([]))
+
+
+def test_lazy_instructions_hold_nothing_before_access():
+    batch = single_threaded_workload("gcc", instructions=20_000, seed=0).traces[0].batch()
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        lazy = LazyInstructions(batch, thread_id=0)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert len(lazy) == 20_000
+    assert retained < 1024, f"an unread instruction view holds {retained} bytes"
+    assert lazy[-1] is lazy[19_999]
+    assert lazy.built_positions() == [19_999]
+    with pytest.raises(IndexError):
+        lazy[20_000]
