@@ -224,6 +224,13 @@ class TestArgparseErrors:
         "missing-subcommand": [],
         "unknown-subcommand": ["bogus"],
         "removed-serve": ["serve"],
+        "removed-submit": ["submit"],
+        "removed-worker": ["worker"],
+        "unrecognized-flag": ["run", "--port", "8000"],
+        "bad-kind": ["run", "--kind", "bogus"],
+        "missing-value": ["run", "--simulator"],
+        "bad-preset": ["figure", "5", "--preset", "bogus"],
+        "bad-workers": ["compare", "--workers", "two"],
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -240,12 +247,69 @@ class TestArgparseErrors:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
-    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+    @pytest.mark.parametrize(
+        "case,prog,offender",
+        [
+            ("bad-int", "repro run", "'abc'"),
+            ("bad-figure", "repro figure", "'99'"),
+            ("missing-subcommand", "repro", "command"),
+            ("unknown-subcommand", "repro", "'bogus'"),
+            ("removed-serve", "repro", "'serve'"),
+            ("unrecognized-flag", "repro", "--port 8000"),
+            ("bad-kind", "repro run", "'bogus'"),
+            ("missing-value", "repro run", "--simulator"),
+            ("bad-preset", "repro figure", "'bogus'"),
+            ("bad-workers", "repro compare", "'two'"),
+        ],
+    )
+    def test_the_one_line_names_the_command_and_the_input(
+        self, case, prog, offender, capsys
+    ):
+        # Folding the usage block away must not lose what was wrong, or where.
+        with pytest.raises(SystemExit):
+            main(self.CASES[case])
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {prog}: ")
+        assert offender in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            ["run", "--help"],
+            ["list-simulators", "--help"],
+            ["compare", "--help"],
+            ["bench", "--help"],
+            ["figure", "--help"],
+        ],
+    )
     def test_help_still_prints_usage(self, argv, capsys):
         with pytest.raises(SystemExit) as raised:
             main(argv)
         assert raised.value.code == 0
         assert capsys.readouterr().out.startswith("usage: repro")
+
+
+class TestFaultPlanFlagErrors:
+    """A ``--faults`` plan that cannot be read is one ``error:`` line, exit 2."""
+
+    CASES = {
+        "malformed-json": ("{not json", "Expecting property name"),
+        "missing-file": ("no-such-plan.json", "No such file"),
+        "unknown-kind": ('{"seed": 1, "specs": [{"kind": "bogus"}]}',
+                         "unknown fault kind 'bogus'"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_in_process_exits_2_with_one_line(self, case, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        plan, named = self.CASES[case]
+        code = main(["run", "--simulator", "interval", "--benchmark", "gcc",
+                     "--instructions", "1000", "--faults", plan])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
 
 
 def test_subcommands_are_the_local_ones():

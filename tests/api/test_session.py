@@ -161,6 +161,19 @@ class TestRunBatch:
         with pytest.raises(ValueError, match="custom SimulatorRegistry"):
             Session.run_batch(sessions, workers=2)
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_empty_batch_returns_no_results(self, workers):
+        assert Session.run_batch([], workers=workers) == []
+
+    def test_equal_specs_give_equal_results_across_workers(self):
+        # Equal content hashes imply bit-identical statistics, whichever
+        # process runs the job.
+        spec = self._specs()[1]
+        twin = SweepSpec.from_dict(spec.to_dict())
+        assert twin.content_hash() == spec.content_hash()
+        first, second = Session.run_batch([spec, twin], workers=2)
+        assert first.stats.deterministic_dict() == second.stats.deterministic_dict()
+
     def test_batch_preserves_spec_order(self):
         specs = self._specs()
         results = Session.run_batch(specs, workers=4)

@@ -9,6 +9,7 @@ every process and on every Python version.  These tests pin that contract.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -54,6 +55,36 @@ class TestCanonicalJson:
     def test_digest_is_order_insensitive(self):
         assert content_digest({"a": 1, "b": 2}) == content_digest({"b": 2, "a": 1})
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    def test_rejects_infinity(self, value):
+        with pytest.raises(ValueError):
+            canonical_dumps({"x": [1.0, value]})
+
+    def test_escapes_non_ascii(self):
+        text = canonical_dumps({"label": "caf\u00e9 \u2192 \U0001f600"})
+        assert text.isascii()
+        assert text == '{"label":"caf\\u00e9 \\u2192 \\ud83d\\ude00"}'
+        assert json.loads(text) == {"label": "caf\u00e9 \u2192 \U0001f600"}
+
+    def test_keeps_list_order(self):
+        assert canonical_dumps([3, 1, 2]) == "[3,1,2]"
+        assert content_digest([1, 2]) != content_digest([2, 1])
+
+    def test_tuples_encode_like_lists(self):
+        assert canonical_dumps({"regs": (1, 2)}) == canonical_dumps({"regs": [1, 2]})
+
+    def test_nested_order_is_insensitive(self):
+        one = {"outer": {"b": [{"y": 1, "x": 2}], "a": None}}
+        two = {"outer": {"a": None, "b": [{"x": 2, "y": 1}]}}
+        assert canonical_dumps(one) == canonical_dumps(two)
+        assert content_digest(one) == content_digest(two)
+
+    def test_digest_is_sha256_of_the_canonical_bytes(self):
+        payload = {"b": [1, 2.5, None, True], "a": "x"}
+        expected = hashlib.sha256(canonical_dumps(payload).encode("ascii")).hexdigest()
+        assert content_digest(payload) == expected
+        assert len(expected) == 64
+
 
 class TestMachineRoundTrip:
     @pytest.mark.parametrize(
@@ -79,6 +110,25 @@ class TestSpecRoundTrip:
         rebuilt = SweepSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert rebuilt == spec
         assert rebuilt.content_hash() == spec.content_hash()
+
+    @pytest.mark.parametrize(
+        "workload",
+        [
+            WorkloadSpec(kind="single", benchmark="mcf", instructions=1_000, seed=2),
+            WorkloadSpec(kind="multiprogram", benchmark="gcc", copies=3, instructions=500),
+            WorkloadSpec(kind="multithreaded", benchmark="vips", copies=4,
+                         instructions=4_000, seed=1),
+            WorkloadSpec(kind="heterogeneous", benchmarks=("gcc", "mcf", "swim")),
+        ],
+        ids=["single", "multiprogram", "multithreaded", "heterogeneous"],
+    )
+    def test_every_workload_kind_round_trips(self, workload):
+        spec = _spec(workload=workload, machine=default_machine_config(num_cores=4))
+        text = spec.canonical_json()
+        rebuilt = SweepSpec.from_dict(json.loads(text))
+        assert rebuilt == spec
+        assert rebuilt.workload == workload
+        assert rebuilt.canonical_json() == text
 
     def test_none_budget_round_trips(self):
         spec = _spec(max_cycles=None, workload=WorkloadSpec(benchmark="mcf"))

@@ -153,6 +153,38 @@ class TestLazyMaterialization:
         assert list(trace)[7] is trace[7]
         assert trace[7].thread_id == trace.thread_id
 
+    def test_negative_positions_count_from_the_end(self):
+        trace = single_threaded_workload("gcc", instructions=500, seed=3).traces[0]
+        lazy = trace.batch().instructions
+        assert lazy[-1] is lazy[len(lazy) - 1]
+        assert lazy[-len(lazy)] is lazy[0]
+        assert lazy.built_positions() == [0, len(lazy) - 1]
+
+    @pytest.mark.parametrize("offset", [0, 1], ids=["past-end", "before-start"])
+    def test_out_of_range_positions_raise_index_error(self, offset):
+        trace = single_threaded_workload("gcc", instructions=500, seed=3).traces[0]
+        lazy = trace.batch().instructions
+        position = len(lazy) if offset == 0 else -len(lazy) - 1
+        with pytest.raises(IndexError):
+            lazy[position]
+        assert lazy.built_positions() == []
+
+    def test_built_positions_ascend_whatever_the_read_order(self):
+        trace = single_threaded_workload("gcc", instructions=500, seed=3).traces[0]
+        lazy = trace.batch().instructions
+        for position in (400, 3, 250, 3, 0):
+            lazy[position]
+        assert lazy.built_positions() == [0, 3, 250, 400]
+        assert len(lazy) == trace.batch().length
+
+    def test_full_iteration_builds_every_position_once(self):
+        trace = single_threaded_workload("gcc", instructions=500, seed=3).traces[0]
+        lazy = trace.batch().instructions
+        first = list(lazy)
+        assert lazy.built_positions() == list(range(len(lazy)))
+        assert all(a is b for a, b in zip(first, lazy))
+        assert [instruction.seq for instruction in first] == list(trace.batch().seq)
+
     def test_dropped_trace_is_freed_without_the_cycle_collector(self):
         # A reference cycle between a batch and its instruction view would
         # keep every dropped trace in memory until the cyclic collector ran.
