@@ -1,33 +1,74 @@
-"""Micro-benchmarks: raw simulation throughput of each timing model.
+"""The throughput gate's shapes, floors and check, without timing anything.
 
-These complement Figures 9/10 by measuring simulator throughput (simulated
-instructions per host second) on a fixed workload, which is the number the
-paper quotes for industry/academic simulators ("tens to hundreds of KIPS").
+``throughput_gate.py`` times every model on eight shapes and fails on a pair
+below 80% of its floor; these tests pin what it measures and how it judges,
+so a wrong shape or a lost floor shows up in tier-1 rather than as a gate
+that silently checks less.
 """
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro import DetailedSimulator, IntervalSimulator, OneIPCSimulator, default_machine_config
-from repro.trace import single_threaded_workload
+import throughput_gate as gate
+from repro.trace.workloads import manycore_workload
+
+SHAPE_THREADS = {
+    "gcc": 1, "mcf": 1, "sync": 4, "mcf64": 64, "sync64": 64, "sync256": 256,
+    "faulty-mcf": 1, "faulty-sync": 4,
+}
 
 
-WORKLOAD_INSTRUCTIONS = 20_000
+@pytest.fixture(scope="module")
+def built():
+    """Every shape at the gate's own budget: ``{name: (workload, faults)}``."""
+    return {name: (workload, faults) for name, workload, faults in gate.shapes()}
 
 
-@pytest.mark.parametrize(
-    "simulator_cls", [IntervalSimulator, DetailedSimulator, OneIPCSimulator],
-    ids=["interval", "detailed", "oneipc"],
-)
-def test_simulator_throughput(benchmark, simulator_cls):
-    machine = default_machine_config(1)
-    workload = single_threaded_workload("gcc", instructions=WORKLOAD_INSTRUCTIONS)
+def test_floors_name_exactly_the_eight_shapes_and_three_models():
+    with open(gate.FLOORS_PATH, "r", encoding="utf-8") as handle:
+        floors = json.load(handle)["shapes"]
+    assert set(floors) == set(SHAPE_THREADS)
+    for shape, models in floors.items():
+        assert set(models) == {f"{model}_kips" for model in gate.MODELS}, shape
+        assert all(floor > 0 for floor in models.values()), shape
 
-    def run():
-        return simulator_cls(machine).run(workload, warmup_instructions=WORKLOAD_INSTRUCTIONS // 2)
 
-    stats = benchmark.pedantic(run, rounds=3, iterations=1)
-    benchmark.extra_info["simulated_kips"] = round(stats.simulated_kips(), 1)
-    benchmark.extra_info["aggregate_ipc"] = round(stats.aggregate_ipc, 3)
-    assert stats.total_instructions == WORKLOAD_INSTRUCTIONS // 2
+def test_shapes_build_their_threads_and_fault_plans(built):
+    assert list(built) == list(SHAPE_THREADS)
+    for name, (workload, faults) in built.items():
+        assert workload.num_threads == SHAPE_THREADS[name], name
+        if name.startswith("faulty-"):
+            assert faults is not None and not faults.is_empty, name
+        else:
+            assert faults is None, name
+    assert built["faulty-mcf"][1] == gate.FAULTY_MCF
+    assert built["faulty-sync"][1] == gate.FAULTY_SYNC
+
+
+def test_sync64_divides_the_total_budget_across_its_threads(built):
+    sync64, _ = built["sync64"]
+    per_thread = gate.INSTRUCTIONS // 64
+    expected = manycore_workload("fluidanimate", 64, instructions_per_thread=per_thread)
+    assert [len(t) for t in sync64.traces] == [len(t) for t in expected.traces]
+    # Sync pseudo-instructions and the init sweep add a little on top of the
+    # per-thread share; the whole budget per thread would be 64x larger.
+    total = sum(len(t) for t in sync64.traces)
+    assert gate.INSTRUCTIONS <= total < 2 * gate.INSTRUCTIONS
+
+
+def test_check_flags_a_pair_below_the_threshold_and_passes_one_at_it():
+    floors = {"gcc": {"interval_kips": 100.0, "oneipc_kips": 50.0}}
+    at = {("gcc", "interval"): 80.0, ("gcc", "oneipc"): 40.0}
+    assert gate.below_floor(at, floors) == []
+    below = dict(at)
+    below["gcc", "oneipc"] = 39.9
+    (failure,) = gate.below_floor(below, floors)
+    assert failure.startswith("gcc/oneipc: 39.9 KIPS < 40.0")
+
+
+def test_check_flags_a_floored_pair_that_was_not_measured():
+    floors = {"mcf": {"detailed_kips": 10.0}}
+    assert gate.below_floor({}, floors) == ["mcf/detailed: not measured"]

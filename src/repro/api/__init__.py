@@ -12,13 +12,10 @@ experiment drivers together behind one surface:
   parallel, deterministic :meth:`Session.run_batch` sweep runner;
 * :mod:`repro.api.results` — :class:`RunResult` objects that round-trip
   through JSON so sweeps persist to disk;
-* :mod:`repro.api.bench` — the throughput-benchmark suite behind
-  ``repro bench`` and ``BENCH_throughput.json``;
 * :mod:`repro.api.cli` — the ``python -m repro`` command-line interface
   built on the same layer (imported lazily; see ``repro.__main__``).
 """
 
-from .bench import check_baseline, run_throughput_suite, write_report
 from .registry import (
     DEFAULT_REGISTRY,
     DuplicateSimulatorError,
@@ -53,9 +50,6 @@ __all__ = [
     "RunResult",
     "load_results",
     "save_results",
-    "check_baseline",
-    "run_throughput_suite",
-    "write_report",
     "Session",
     "run_spec",
     "run_specs",

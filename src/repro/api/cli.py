@@ -11,9 +11,6 @@ Subcommands:
     Run several simulators on the same workload (in parallel with
     ``--workers``), persist the results to a shared JSON path, reload them
     and print a comparison table.
-``bench``
-    Run the simulator-throughput suite and write ``BENCH_throughput.json``
-    (optionally gating against a checked-in baseline).
 ``figure``
     Reproduce one paper artifact (Figures 4–10 or the ablations) at a
     chosen budget preset.
@@ -33,7 +30,6 @@ from ..common.config import default_machine_config
 from ..common.metrics import percentage_error
 from ..experiments.presets import PRESET_NAMES
 from ..multicore.simulator import CycleLimitExceeded
-from .bench import add_bench_arguments, run_bench_command
 from .registry import (
     InvalidOptionError,
     UnknownSimulatorError,
@@ -117,12 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shared result path; results are saved there and the table is "
         "rendered from the reloaded file (default: a temporary file)",
     )
-
-    bench_parser = subparsers.add_parser(
-        "bench",
-        help="run the simulator-throughput suite and write BENCH_throughput.json",
-    )
-    add_bench_arguments(bench_parser)
 
     figure_parser = subparsers.add_parser(
         "figure", help="reproduce one paper artifact"
@@ -255,7 +245,7 @@ def _spec_from_args(args: argparse.Namespace, simulator: str, options=None) -> S
         options=dict(options or {}),
         warmup_instructions=warmup,
         max_cycles=args.max_cycles,
-        faults=_parse_fault_plan(getattr(args, "faults", None)),
+        faults=_parse_fault_plan(args.faults),
     )
 
 
@@ -314,6 +304,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     names = [name.strip() for name in args.simulators.split(",") if name.strip()]
     if not names:
         raise UsageError("--simulators needs at least one name")
+    if args.workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {args.workers}")
     specs: List[SweepSpec] = []
     for name in names:
         get_simulator(name)  # fail early on unknown names
@@ -378,8 +370,10 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
     configs = build_preset_configs(args.preset)
-    if args.benchmarks:
+    if args.benchmarks is not None:
         subset = [b.strip() for b in args.benchmarks.split(",") if b.strip()]
+        if not subset:
+            raise UsageError("--benchmarks needs at least one name")
         configs = {key: replace(cfg, benchmarks=subset) for key, cfg in configs.items()}
 
     if args.artifact == "4":
@@ -411,7 +405,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "list-simulators": _cmd_list_simulators,
         "run": _cmd_run,
         "compare": _cmd_compare,
-        "bench": run_bench_command,
         "figure": _cmd_figure,
     }
     try:

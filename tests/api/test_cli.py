@@ -196,7 +196,11 @@ class TestUsageErrors:
         "malformed-option": ["run", "--simulator", "interval", "--benchmark", "gcc",
                              "--instructions", "1000", "-o", "use_old_window"],
         "empty-simulators": ["compare", "--simulators", " , ", "--benchmark", "gcc"],
-        "empty-bench-shape": ["bench", "--shape", " , "],
+        "empty-figure-benchmarks": ["figure", "5", "--benchmarks", " , "],
+        "zero-workers": ["compare", "--simulators", "interval", "--benchmark", "gcc",
+                         "--workers", "0"],
+        "negative-workers": ["compare", "--simulators", "interval", "--benchmark", "gcc",
+                             "--workers", "-3"],
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -207,7 +211,9 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err == f"error: {raised.value}\n"
 
-    @pytest.mark.parametrize("case", ["copies-on-single", "empty-bench-shape"])
+    @pytest.mark.parametrize(
+        "case", ["copies-on-single", "empty-figure-benchmarks", "zero-workers"]
+    )
     def test_subprocess_exits_2_with_one_line(self, case):
         proc = _run_module(*self.CASES[case])
         assert proc.returncode == 2, proc.stderr
@@ -224,6 +230,7 @@ class TestArgparseErrors:
         "missing-subcommand": [],
         "unknown-subcommand": ["bogus"],
         "removed-serve": ["serve"],
+        "removed-bench": ["bench"],
         "removed-submit": ["submit"],
         "removed-worker": ["worker"],
         "unrecognized-flag": ["run", "--port", "8000"],
@@ -241,7 +248,7 @@ class TestArgparseErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: repro") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("case", ["bad-int", "removed-serve"])
+    @pytest.mark.parametrize("case", ["bad-int", "removed-serve", "removed-bench"])
     def test_subprocess_exits_2_with_one_line(self, case):
         proc = _run_module(*self.CASES[case])
         assert proc.returncode == 2, proc.stderr
@@ -255,6 +262,7 @@ class TestArgparseErrors:
             ("missing-subcommand", "repro", "command"),
             ("unknown-subcommand", "repro", "'bogus'"),
             ("removed-serve", "repro", "'serve'"),
+            ("removed-bench", "repro", "'bench'"),
             ("unrecognized-flag", "repro", "--port 8000"),
             ("bad-kind", "repro run", "'bogus'"),
             ("missing-value", "repro run", "--simulator"),
@@ -279,7 +287,6 @@ class TestArgparseErrors:
             ["run", "--help"],
             ["list-simulators", "--help"],
             ["compare", "--help"],
-            ["bench", "--help"],
             ["figure", "--help"],
         ],
     )
@@ -319,12 +326,12 @@ def test_subcommands_are_the_local_ones():
         if isinstance(action, argparse._SubParsersAction)
     ]
     assert set(subparsers.choices) == {
-        "list-simulators", "run", "compare", "bench", "figure",
+        "list-simulators", "run", "compare", "figure",
     }
 
 
 class TestUnknownNameErrors:
-    """Unknown simulator/benchmark/shape → non-zero exit + valid names listed."""
+    """Unknown simulator/benchmark → exit 2 + valid names listed."""
 
     def test_run_unknown_simulator(self):
         proc = _run_module("run", "--simulator", "nope")
@@ -342,15 +349,10 @@ class TestUnknownNameErrors:
         assert "unknown benchmark" in proc.stderr and "gcc" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_bench_unknown_shape(self):
-        proc = _run_module("bench", "--shape", "nope")
-        assert proc.returncode != 0
-        assert "unknown bench shape 'nope'" in proc.stderr
-        assert "gcc" in proc.stderr and "sync" in proc.stderr
-        assert "Traceback" not in proc.stderr
-
-    def test_bench_unknown_simulator(self):
-        proc = _run_module("bench", "--simulators", "nope")
-        assert proc.returncode != 0
-        assert "unknown simulator" in proc.stderr and "interval" in proc.stderr
+    def test_compare_unknown_simulator(self):
+        proc = _run_module("compare", "--simulators", "nope", "--benchmark", "gcc")
+        assert proc.returncode == 2
+        assert "unknown simulator 'nope'" in proc.stderr
+        for name in ("interval", "detailed", "oneipc"):
+            assert name in proc.stderr
         assert "Traceback" not in proc.stderr

@@ -7,8 +7,7 @@ The per-cycle spin reference stays available behind
 ``MulticoreSimulator.park_blocked_cores = False`` (test-only), and these
 tests hold the two drivers to bit-identical simulated statistics on every
 multithreaded golden workload, pin the deterministic wake order, and check
-the driver's observability counters end to end (stats → RunResult → bench
-report).
+the driver's observability counters end to end (stats → RunResult).
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro.api import Session
-from repro.api.bench import run_throughput_suite
 from repro.common.stats import CoreStats
 from repro.multicore.simulator import MulticoreSimulator
 from repro.multicore.sync import SynchronizationManager
@@ -199,21 +197,6 @@ def test_driver_counters_survive_deterministic_dict_exclusion():
     assert "driver" not in result.stats.deterministic_dict()
     restored = SimulationStats.from_dict(result.stats.as_dict())
     assert restored.driver_stats == result.stats.driver_stats
-
-
-def test_bench_report_carries_driver_counters():
-    """The bench suite reports the parked-driver counters per simulator."""
-    report = run_throughput_suite(
-        instructions=4000,
-        warmup_instructions=0,
-        simulators=("interval",),
-        repeats=1,
-        shape="sync",
-    )
-    row = report["results"]["interval"]
-    assert row["events_popped"] > 0
-    assert row["cores_parked"] > 0
-    assert row["park_cycles_skipped"] > 0
 
 
 # -- many-core scale-out ---------------------------------------------------------
