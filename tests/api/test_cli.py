@@ -212,7 +212,8 @@ class TestUsageErrors:
         assert err == f"error: {raised.value}\n"
 
     @pytest.mark.parametrize(
-        "case", ["copies-on-single", "empty-figure-benchmarks", "zero-workers"]
+        "case",
+        ["copies-on-single", "empty-figure-benchmarks", "zero-workers", "negative-workers"],
     )
     def test_subprocess_exits_2_with_one_line(self, case):
         proc = _run_module(*self.CASES[case])
