@@ -249,6 +249,19 @@ def _spec_from_args(args: argparse.Namespace, simulator: str, options=None) -> S
     )
 
 
+def _check_output_path(path: str, flag: str) -> None:
+    """Reject an output path that cannot be written, before simulating.
+
+    A directory, or a file in a directory that does not exist, would
+    otherwise surface only at the write, after the whole simulation.
+    """
+    if os.path.isdir(path):
+        raise UsageError(f"{flag} {path}: is a directory")
+    parent = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(parent):
+        raise UsageError(f"{flag} {path}: no such directory {parent}")
+
+
 def _render_table(headers: Sequence[str], rows, title: str = "") -> str:
     from ..experiments.runner import render_table
 
@@ -272,7 +285,10 @@ def _cmd_list_simulators(_args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     entry = get_simulator(args.simulator)  # fail early on unknown names
     options = entry.validate_options(dict(_parse_options(args.option)))
-    result = run_spec(_spec_from_args(args, args.simulator, options))
+    spec = _spec_from_args(args, args.simulator, options)
+    if args.json:
+        _check_output_path(args.json, "--json")
+    result = run_spec(spec)
 
     stats = result.stats
     print(
@@ -310,6 +326,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     for name in names:
         get_simulator(name)  # fail early on unknown names
         specs.append(_spec_from_args(args, name))
+    if args.results:
+        _check_output_path(args.results, "--results")
 
     results = run_specs(specs, workers=args.workers)
 

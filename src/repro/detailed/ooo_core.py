@@ -88,6 +88,14 @@ class DetailedCore(CoreModel):
     could actually issue now.  A cycle in which no stage can act ends a
     *dormant span* that is skipped in one step (see the end of the loop).
 
+    Under the parked driver a cycle whose dispatch blocked on a barrier or
+    lock with an empty ROB parks the core at once when the front end cannot
+    change that either: with the fetch queue full, a redirect pending or
+    the trace fully fetched it parks until a release, and while an I-side
+    miss holds fetch until ``fetch_ready`` it parks with a wake timer for
+    that cycle (:attr:`CoreModel.park_wake`), since every cycle before it
+    is the same failing retry and touches no shared state.
+
     ``DetailedCore.event_driven_issue = False`` (test-only, the
     ``park_blocked_cores`` pattern) selects the per-stage reference instead:
     :meth:`simulate_cycle` calls one method per stage, issue rescans the
@@ -263,6 +271,7 @@ class DetailedCore(CoreModel):
         dispatch_seq = self._dispatch_seq
         park_blocked = self.park_blocked
         finished = parked = False
+        park_wake = None
 
         while True:
             # -- commit: retire up to commit_width completed instructions --
@@ -521,17 +530,20 @@ class DetailedCore(CoreModel):
             if fpos >= n and not fq and not rob:
                 finished = True
                 break
-            if (
-                sync_block is not None
-                and park_blocked
-                and not rob
-                and (redirect or fpos >= n or len(fq) >= fq_cap)
-            ):
-                # Dispatch blocked on a sync object and the rest of the
-                # pipeline can make no progress without it: every further
-                # cycle would repeat this one exactly, so park.
-                parked = True
-                break
+            if sync_block is not None and park_blocked and not rob:
+                if redirect or fpos >= n or len(fq) >= fq_cap:
+                    # Dispatch blocked on a sync object and the rest of the
+                    # pipeline can make no progress without it: every
+                    # further cycle would repeat this one exactly, so park.
+                    parked = True
+                    break
+                if now < fetch_ready:
+                    # Fetch waits on a miss until fetch_ready; until then
+                    # every cycle is the same failing retry, which touches
+                    # no shared state, so park with a timer for the miss.
+                    parked = True
+                    park_wake = fetch_ready
+                    break
             if sync_block is None:
                 # Dormant-span skip.  Every stage must be provably frozen
                 # until some future cycle — fetch until its miss timer,
@@ -611,7 +623,7 @@ class DetailedCore(CoreModel):
             # The stall/contention for the blocked cycle was charged live;
             # back-fill starts at the next one.
             is_lock, sync_object = sync_block
-            self._park(is_lock, sync_object, now, now)
+            self._park(is_lock, sync_object, now, now, park_wake)
 
     # -- per-stage reference ------------------------------------------------------
 

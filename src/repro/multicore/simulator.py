@@ -16,9 +16,10 @@ detailed, one-IPC) only provide their per-core model by implementing
 The global loop is a min-heap over (per-core time, core id) with a parked
 state for synchronization: cores blocked on an unreleased barrier or a held
 lock leave the heap and wait on the sync object itself, and the releasing
-step re-inserts them with their stall cycles back-filled (see
-:meth:`MulticoreSimulator._wake_parked` for the equivalence argument against
-the per-cycle spin reference, which `park_blocked_cores = False` restores).
+step — or a wake timer the core set when it parked — re-inserts them with
+their stall cycles back-filled (see :meth:`MulticoreSimulator._wake_parked`
+for the equivalence argument against the per-cycle spin reference, which
+`park_blocked_cores = False` restores).
 """
 
 from __future__ import annotations
@@ -84,10 +85,15 @@ class CoreModel(abc.ABC):
         # cycle whose sync stall was not charged at the block site and
         # ``park_retry_cycle`` the first cycle whose failing lock attempt was
         # not counted — both back-filled by the driver at wake.
+        # ``park_wake`` is the cycle of a *timed* park's wake timer (the
+        # first cycle the core can act without a release, e.g. when its
+        # pending fetch miss returns), ``None`` for a park only a release
+        # ends.
         self.park_blocked = False
         self.blocked_on: Optional[tuple] = None
         self.park_cycle = 0
         self.park_retry_cycle = 0
+        self.park_wake: Optional[int] = None
         # The shared synchronization manager, or None for single-threaded
         # runs; subclasses that synchronize overwrite this in __init__.
         self.sync: Optional[SynchronizationManager] = None
@@ -97,12 +103,22 @@ class CoreModel(abc.ABC):
         self._waiting_barrier: Optional[int] = None
 
     def _park(
-        self, is_lock: bool, sync_object: int, park_cycle: int, retry_cycle: int
+        self,
+        is_lock: bool,
+        sync_object: int,
+        park_cycle: int,
+        retry_cycle: int,
+        wake_cycle: Optional[int] = None,
     ) -> None:
-        """Mark this core blocked on a sync object (driver parks it next)."""
+        """Mark this core blocked on a sync object (driver parks it next).
+
+        ``wake_cycle`` sets a wake timer: the driver resumes the core at
+        that cycle unless a release wakes it first.
+        """
         self.blocked_on = (is_lock, sync_object)
         self.park_cycle = park_cycle
         self.park_retry_cycle = retry_cycle
+        self.park_wake = wake_cycle
 
     def _handle_sync_kind(self, kind: int, sync_object: int, cycle: int = 0) -> bool:
         """Interpret a synchronization pseudo-instruction.
@@ -347,6 +363,21 @@ class MulticoreSimulator(abc.ABC):
         # event step.  Both modes produce bit-identical statistics; parking
         # turns O(stall cycles × waiting cores) heap pops into O(1) per
         # block, which is what makes 64–256-core sync-heavy runs tractable.
+        #
+        # A core may also park with a wake timer (`park_wake`): a detailed
+        # core blocked on a sync object with an empty ROB while its front
+        # end waits on an I-cache miss can do nothing but fail its retry
+        # until the miss returns, and that retry touches no shared state.
+        # Its timer waits in `timers` as (wake cycle, core id, seq, core) —
+        # the seq keeps two entries from ever tying on their key — and
+        # fires ahead of every heap entry after it in (time, core id)
+        # order, so the core resumes exactly where its spin would have
+        # interleaved; every run_until stops at the earliest timer, so no
+        # core runs past a timed wake.  Firing unparks the core as if a
+        # core ranked before all others had released its object at the
+        # wake cycle, which back-fills the skipped stalls the same way.  A
+        # timer whose core a release already woke (it is running, or
+        # parked again with another timer or none) is stale and skipped.
         event_queue = [
             (core.sim_time, core.core_id, core)
             for core in active
@@ -355,9 +386,23 @@ class MulticoreSimulator(abc.ABC):
         heapq.heapify(event_queue)
         heappush = heapq.heappush
         heappop = heapq.heappop
+        timers: List[tuple] = []
+        timer_seq = 0
         time_cap = None if max_cycles is None else max_cycles + 1
         events_popped = 0
-        while event_queue:
+        while event_queue or timers:
+            if timers:
+                wake_cycle, waiter_id, _, waiter = timers[0]
+                if waiter.blocked_on is None or waiter.park_wake != wake_cycle:
+                    heappop(timers)
+                    continue
+                if not event_queue or (wake_cycle, waiter_id) < event_queue[0][:2]:
+                    heappop(timers)
+                    assert sync is not None
+                    self._wake_parked(
+                        sync.unpark(waiter, wake_cycle), sync, heappush, event_queue
+                    )
+                    continue
             core_time, core_id, core = heappop(event_queue)
             events_popped += 1
             if max_cycles is not None and core_time > max_cycles:
@@ -373,14 +418,18 @@ class MulticoreSimulator(abc.ABC):
                 injector.apply_due(core_time)
             if event_queue:
                 run_until = event_queue[0][0]
-                if time_cap is not None and run_until > time_cap:
-                    run_until = time_cap
-                if run_until <= core_time:
-                    run_until = core_time + 1
+                if timers and timers[0][0] < run_until:
+                    run_until = timers[0][0]
+            elif timers:
+                run_until = timers[0][0]
             else:
                 # Last heap core: run to completion (or the time cap, or the
                 # next sync block/release while other cores sit parked).
-                run_until = time_cap if time_cap is not None else _UNBOUNDED
+                run_until = _UNBOUNDED
+            if time_cap is not None and run_until > time_cap:
+                run_until = time_cap
+            if run_until <= core_time:
+                run_until = core_time + 1
             if injector is not None and run_until > injector.next_cycle:
                 # Never simulate past the next pending fault; after
                 # apply_due, next_cycle > core_time, so this keeps
@@ -392,6 +441,9 @@ class MulticoreSimulator(abc.ABC):
                 is_lock, sync_object = core.blocked_on
                 assert sync is not None
                 sync.park(core, is_lock, sync_object)
+                if core.park_wake is not None:
+                    timer_seq += 1
+                    heappush(timers, (core.park_wake, core_id, timer_seq, core))
             elif not core.finished:
                 if core.sim_time <= core_time:
                     raise RuntimeError(
@@ -437,6 +489,7 @@ class MulticoreSimulator(abc.ABC):
                 "park_cycles_skipped": (
                     sync.stats.park_cycles_skipped if sync else 0
                 ),
+                "park_timer_wakes": sync.stats.park_timer_wakes if sync else 0,
                 "snoop_probes": hierarchy.coherence.stats.snoop_probes,
             },
         )
@@ -459,6 +512,12 @@ class MulticoreSimulator(abc.ABC):
         ``[park_cycle, resume)`` — plus, for locks, the failed acquire
         attempts in ``[retry_cycle, resume)`` — are exactly what the spin
         would have charged one cycle at a time.
+
+        A wake timer firing at cycle ``T`` arrives here as a release at
+        ``T`` by core ``-1`` (:meth:`SynchronizationManager.unpark`), so the
+        waiter resumes at ``T`` itself: the timer fires ahead of every heap
+        entry after ``(T, waiter id)``, which is where the spinning waiter
+        would have run cycle ``T``.
         """
         waiter = wake.core
         release = wake.release_cycle

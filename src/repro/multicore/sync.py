@@ -18,7 +18,9 @@ is moved onto :attr:`SynchronizationManager.wake_pending` stamped with the
 release cycle and the releasing core's id; the driver drains that list,
 back-fills each waiter's stall cycles in one arithmetic step and re-inserts
 it into the heap (see :mod:`repro.multicore.simulator` for the resume-time
-rule that keeps this bit-identical to the per-cycle spin reference).  The
+rule that keeps this bit-identical to the per-cycle spin reference).  A core
+parked with a wake timer leaves its wait list through
+:meth:`SynchronizationManager.unpark` when the timer fires first.  The
 *timing* consequence (stall cycles) is still accounted on the core models'
 statistics — the manager only carries the bookkeeping needed to back-fill
 them exactly.
@@ -36,13 +38,15 @@ __all__ = ["SyncStats", "ParkedCore", "WakeRecord", "SynchronizationManager"]
 class SyncStats:
     """Counters of synchronization activity across the whole simulation.
 
-    The last three counters instrument the event driver itself: ``events_popped``
+    The last four counters instrument the event driver itself: ``events_popped``
     (heap pops over the whole run, filled in by the driver),
     ``cores_parked`` (park operations — cores that left the heap blocked on a
-    sync object) and ``park_cycles_skipped`` (stall cycles back-filled
-    arithmetically at wake instead of being spun through the heap).  They make
-    the parked-driver win measurable: the spin reference pays roughly one heap
-    pop per stall cycle per waiting core, the parked driver pays none.
+    sync object), ``park_cycles_skipped`` (stall cycles back-filled
+    arithmetically at wake instead of being spun through the heap) and
+    ``park_timer_wakes`` (parked cores resumed by their wake timer rather
+    than by a release).  They make the parked-driver win measurable: the
+    spin reference pays roughly one heap pop per stall cycle per waiting
+    core, the parked driver pays none.
     """
 
     barrier_arrivals: int = 0
@@ -53,6 +57,7 @@ class SyncStats:
     events_popped: int = 0
     cores_parked: int = 0
     park_cycles_skipped: int = 0
+    park_timer_wakes: int = 0
 
     def reset(self) -> None:
         """Zero all counters."""
@@ -64,6 +69,7 @@ class SyncStats:
         self.events_popped = 0
         self.cores_parked = 0
         self.park_cycles_skipped = 0
+        self.park_timer_wakes = 0
 
 
 @dataclass
@@ -224,6 +230,39 @@ class SynchronizationManager:
         )
         self.parked_count += 1
         self.stats.cores_parked += 1
+
+    def unpark(self, core, cycle: int) -> WakeRecord:
+        """Take a timed-parked core off its wait list as its timer fires.
+
+        Returns the core's wake record as if a core ranked before every
+        other (id ``-1``) had released the object at ``cycle``, so the
+        driver resumes the core at ``cycle`` itself and back-fills its
+        skipped stalls and lock retries exactly as for a release.
+        """
+        is_lock, sync_object = core.blocked_on
+        by_object = self._lock_waiters if is_lock else self._barrier_waiters
+        waiters = by_object.get(sync_object, [])
+        for index, parked in enumerate(waiters):
+            if parked.core is core:
+                break
+        else:
+            raise RuntimeError(
+                f"core {core.core_id} is not parked on "
+                f"{'lock' if is_lock else 'barrier'} {sync_object}"
+            )
+        del waiters[index]
+        if not waiters:
+            del by_object[sync_object]
+        self.parked_count -= 1
+        self.stats.park_timer_wakes += 1
+        return WakeRecord(
+            core=core,
+            park_cycle=parked.park_cycle,
+            retry_cycle=parked.retry_cycle,
+            release_cycle=cycle,
+            releaser_id=-1,
+            is_lock=is_lock,
+        )
 
     def _wake(
         self, waiters: List[ParkedCore], cycle: int, core_id: int, is_lock: bool

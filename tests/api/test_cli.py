@@ -357,3 +357,31 @@ class TestUnknownNameErrors:
         for name in ("interval", "detailed", "oneipc"):
             assert name in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestOutputPathErrors:
+    """An unwritable ``--json``/``--results`` path fails before simulating:
+    one ``error:`` line, exit 2, and nothing on stdout (where a finished
+    simulation prints its result)."""
+
+    COMMANDS = {
+        "run": ("run", "--simulator", "interval", "--json"),
+        "compare": ("compare", "--simulators", "interval,detailed", "--results"),
+    }
+
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_subprocess_exits_2_before_simulating(self, command, target, tmp_path):
+        if target == "directory":
+            path, named = str(tmp_path), "is a directory"
+        else:
+            path, named = str(tmp_path / "absent" / "out.json"), "no such directory"
+        proc = _run_module(
+            *self.COMMANDS[command], path,
+            "--benchmark", "gcc", "--instructions", "4000",
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert named in proc.stderr and path in proc.stderr
+        assert proc.stdout == ""
+        assert not (tmp_path / "absent").exists()

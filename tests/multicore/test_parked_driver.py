@@ -7,21 +7,41 @@ The per-cycle spin reference stays available behind
 ``MulticoreSimulator.park_blocked_cores = False`` (test-only), and these
 tests hold the two drivers to bit-identical simulated statistics on every
 multithreaded golden workload, pin the deterministic wake order, and check
-the driver's observability counters end to end (stats → RunResult).
+the driver's observability counters end to end (stats → RunResult).  The
+detailed model's timed parks (blocked on a sync object with an empty ROB
+while fetch waits on a miss, resumed by a wake timer unless a release comes
+first) get their own equivalence cases, releases placed on and just before
+the timer's cycle, and a heap-pop count guard.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
 import random
 from types import SimpleNamespace
 
 import pytest
 
 from repro.api import Session
+from repro.common.isa import Instruction, InstructionClass, SyncKind
 from repro.common.stats import CoreStats
 from repro.multicore.simulator import MulticoreSimulator
 from repro.multicore.sync import SynchronizationManager
+from repro.trace.stream import ThreadTrace, Workload
 from repro.trace.workloads import manycore_workload
+
+
+def _throughput_gate():
+    """The CI throughput gate script, loaded for its fault plans."""
+    path = os.path.join(
+        os.path.dirname(__file__), "..", "..", "benchmarks", "throughput_gate.py"
+    )
+    spec = importlib.util.spec_from_file_location("throughput_gate", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 #: The multithreaded members of the golden corpus (same budgets), plus the
 #: 4-thread sync-heavy shapes: every (model, sync pattern) pair the parked
@@ -37,7 +57,9 @@ EQUIVALENCE_COMBOS = [
 ]
 
 
-def _run_multithreaded(simulator, benchmark, threads, total, warmup, parked):
+def _run_multithreaded(
+    simulator, benchmark, threads, total, warmup, parked, faults=None
+):
     """One multithreaded run under the requested driver mode."""
     previous = MulticoreSimulator.park_blocked_cores
     MulticoreSimulator.park_blocked_cores = parked
@@ -48,6 +70,7 @@ def _run_multithreaded(simulator, benchmark, threads, total, warmup, parked):
             .multithreaded(benchmark, threads=threads, total_instructions=total, seed=0)
             .warmup(warmup)
             .max_cycles(50_000_000)
+            .faults(faults)
             .run()
         )
     finally:
@@ -75,6 +98,216 @@ def test_parked_driver_matches_spin_reference(simulator, bench, threads, total, 
         parked.stats.driver_stats["events_popped"]
         < spin.stats.driver_stats["events_popped"]
     )
+
+
+# -- timed parks (detailed) --------------------------------------------------------
+
+#: Detailed runs whose parked driver fires at least one wake timer, at
+#: budgets small enough for the spin reference: the two barrier-heavy
+#: benchmarks on 64 threads, lock-heavy vips, and the throughput gate's
+#: faulty-sync plan (degraded links, corrupted lines) on fluidanimate.
+TIMED_PARK_COMBOS = [
+    ("fluidanimate", 64, 1500, 500, None),
+    ("streamcluster", 64, 1000, 500, None),
+    ("vips", 8, 8000, 2000, None),
+    ("fluidanimate", 8, 8000, 0, "FAULTY_SYNC"),
+]
+
+
+@pytest.mark.parametrize(
+    "bench,threads,total,warmup,plan",
+    TIMED_PARK_COMBOS,
+    ids=[
+        f"{b}-mt{t}" + ("-faulty-sync" if p else "")
+        for b, t, _, _, p in TIMED_PARK_COMBOS
+    ],
+)
+def test_detailed_timed_parks_match_spin_reference(bench, threads, total, warmup, plan):
+    """Timed parks leave every simulated statistic as the spin driver's."""
+    faults = getattr(_throughput_gate(), plan) if plan else None
+    spin = _run_multithreaded("detailed", bench, threads, total, warmup, False, faults)
+    parked = _run_multithreaded("detailed", bench, threads, total, warmup, True, faults)
+    assert parked.stats.deterministic_dict() == spin.stats.deterministic_dict()
+    assert spin.stats.driver_stats["park_timer_wakes"] == 0
+    assert parked.stats.driver_stats["park_timer_wakes"] > 0
+
+
+def _barrier(seq, thread_id):
+    return Instruction(
+        seq=seq, pc=0x9000, klass=InstructionClass.SYNC,
+        sync=SyncKind.BARRIER, sync_object=0, thread_id=thread_id,
+    )
+
+
+def _chained_alu(seq, thread_id, pc):
+    return Instruction(
+        seq=seq, pc=pc, klass=InstructionClass.INT_ALU,
+        src_regs=(1,), dst_reg=1, thread_id=thread_id,
+    )
+
+
+def _load(seq, thread_id, pc, address):
+    return Instruction(
+        seq=seq, pc=pc, klass=InstructionClass.LOAD,
+        src_regs=(2,), dst_reg=3, mem_addr=address, thread_id=thread_id,
+    )
+
+
+def _timed_barrier_workload(
+    releaser_work, waiter_thread, releaser_loads=0, bystander=0
+):
+    """Threads 0 and 1 meet at one barrier; the waiter parks with a timer.
+
+    The waiter fetches the barrier, then misses in the I-cache on each of
+    the next lines, so its barrier attempt blocks with an empty ROB while
+    fetch waits on a miss.  The releaser runs ``releaser_work`` dependent
+    ALU ops from one I-cache line (one cycle each once the line is in), so
+    its work sets the release cycle cycle by cycle, then ``releaser_loads``
+    loads to distinct pages (DRAM traffic the waiter's misses queue
+    behind) before it arrives.  A ``bystander`` thread 2 of that many
+    instructions, with a load every 50, keeps the event heap occupied
+    without taking part in the barrier.
+    """
+    releaser_thread = 1 - waiter_thread
+    waiter = [_barrier(0, waiter_thread)] + [
+        _chained_alu(1 + line, waiter_thread, 0x40000 + 64 * line)
+        for line in range(4)
+    ]
+    releaser = [
+        _chained_alu(seq, releaser_thread, 0x1000 + 4 * (seq % 16))
+        for seq in range(releaser_work)
+    ]
+    releaser += [
+        _load(releaser_work + k, releaser_thread, 0x1000 + 4 * k, 0x800000 + 4096 * k)
+        for k in range(releaser_loads)
+    ]
+    releaser += [
+        _barrier(len(releaser), releaser_thread),
+        _chained_alu(len(releaser) + 1, releaser_thread, 0x1000),
+    ]
+    traces = [None, None]
+    traces[waiter_thread] = ThreadTrace(waiter, thread_id=waiter_thread)
+    traces[releaser_thread] = ThreadTrace(releaser, thread_id=releaser_thread)
+    if bystander:
+        traces.append(
+            ThreadTrace(
+                [
+                    _load(seq, 2, 0x2000 + 4 * (seq % 16), 0x900000 + 4096 * seq)
+                    if seq % 50 == 0
+                    else _chained_alu(seq, 2, 0x2000 + 4 * (seq % 16))
+                    for seq in range(bystander)
+                ],
+                thread_id=2,
+            )
+        )
+    return Workload(
+        name="timed-barrier", traces=traces, kind="multithreaded", num_barriers=1
+    )
+
+
+def _run_timed_barrier(releaser_work, waiter_thread, parked, monkeypatch, **shape):
+    """Run the barrier workload; returns (result, first wake timer, release
+    cycle)."""
+    seen = {}
+    park = SynchronizationManager.park
+    arrive = SynchronizationManager.barrier_arrive
+
+    def recording_park(self, core, is_lock, sync_object):
+        seen.setdefault("timer", core.park_wake)
+        park(self, core, is_lock, sync_object)
+
+    def recording_arrive(self, thread_id, barrier_id, cycle=0, core_id=-1):
+        if thread_id != waiter_thread:
+            seen["release"] = cycle
+        arrive(self, thread_id, barrier_id, cycle, core_id)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SynchronizationManager, "park", recording_park)
+        patch.setattr(SynchronizationManager, "barrier_arrive", recording_arrive)
+        patch.setattr(MulticoreSimulator, "park_blocked_cores", parked)
+        workload = _timed_barrier_workload(releaser_work, waiter_thread, **shape)
+        result = (
+            Session()
+            .cores(workload.num_threads)
+            .simulator("detailed")
+            .workload(workload)
+            .max_cycles(100_000)
+            .run()
+        )
+    return result, seen.get("timer"), seen.get("release")
+
+
+@pytest.mark.parametrize("offset", [0, -1], ids=["at-timer", "cycle-before"])
+@pytest.mark.parametrize(
+    "waiter_thread", [1, 0], ids=["waiter-above-releaser", "waiter-below-releaser"]
+)
+def test_release_near_the_wake_timer_matches_spin(waiter_thread, offset, monkeypatch):
+    """A release at the timer's cycle or the one before it resumes the
+    waiter where the spin reference does, whichever core id is higher.
+
+    Only a release at the timer's own cycle by a higher-numbered core comes
+    after the timer in (cycle, core id) order, so only there does the timer
+    fire; in the other three cases the release wakes the waiter first and
+    the timer goes stale.
+    """
+    work = 200
+    for _ in range(6):
+        parked, timer, release = _run_timed_barrier(
+            work, waiter_thread, True, monkeypatch
+        )
+        assert timer is not None, "the waiter never parked with a wake timer"
+        if release - timer == offset:
+            break
+        work += offset - (release - timer)
+    assert release - timer == offset
+    spin, _, _ = _run_timed_barrier(work, waiter_thread, False, monkeypatch)
+    assert parked.stats.deterministic_dict() == spin.stats.deterministic_dict()
+    timer_fires = offset == 0 and waiter_thread < 1 - waiter_thread
+    assert parked.stats.driver_stats["park_timer_wakes"] == int(timer_fires)
+
+
+def test_no_core_runs_past_a_wake_timer(monkeypatch):
+    """With a bystander core in the heap, the releaser's run still stops
+    at the waiter's timer: its loads after that cycle must queue behind
+    the waiter's fetch misses on the memory bus, as under the spin driver."""
+    shape = dict(releaser_loads=8, bystander=1000)
+    parked, timer, release = _run_timed_barrier(120, 0, True, monkeypatch, **shape)
+    assert timer is not None and release > timer
+    spin, _, _ = _run_timed_barrier(120, 0, False, monkeypatch, **shape)
+    assert parked.stats.deterministic_dict() == spin.stats.deterministic_dict()
+    assert parked.stats.driver_stats["park_timer_wakes"] > 0
+
+
+@pytest.fixture(scope="module")
+def fluidanimate_64():
+    """fluidanimate on 64 threads (16k instructions) under each model."""
+    return {
+        model: _run_multithreaded(model, "fluidanimate", 64, 16_000, 8_000, True)
+        for model in ("interval", "oneipc", "detailed")
+    }
+
+
+def test_park_timer_wakes_fire_only_for_detailed(fluidanimate_64):
+    """Detailed parks on fetch misses; interval and one-IPC park at once."""
+    for model, result in fluidanimate_64.items():
+        wakes = result.stats.driver_stats["park_timer_wakes"]
+        assert result.as_dict()["metrics"]["park_timer_wakes"] == wakes
+        assert "park_timer_wakes" not in str(result.stats.deterministic_dict())
+        if model == "detailed":
+            assert wakes > 0
+        else:
+            assert wakes == 0, model
+
+
+def test_detailed_heap_pops_stay_near_oneipc(fluidanimate_64):
+    """A sync-blocked detailed core does not crawl the heap while its fetch
+    miss is outstanding: its heap pops stay within 2x one-IPC's (a core
+    stepping one or two cycles per pop instead makes about 5x)."""
+    pops = {
+        model: result.stats.driver_stats["events_popped"]
+        for model, result in fluidanimate_64.items()
+    }
+    assert pops["detailed"] <= 2 * pops["oneipc"], pops
 
 
 # -- deterministic wake order -----------------------------------------------------
@@ -177,14 +410,16 @@ def test_lock_wake_backfills_contention_retries():
 
 
 def test_driver_counters_surface_in_run_result_metrics():
-    """events_popped/cores_parked/park_cycles_skipped reach RunResult metrics."""
+    """The driver's counters reach RunResult metrics."""
     result = _run_multithreaded("interval", "fluidanimate", 4, 8000, 0, True)
     driver = result.stats.driver_stats
     assert driver["events_popped"] > 0
     assert driver["cores_parked"] > 0
     assert driver["park_cycles_skipped"] > 0
     metrics = result.as_dict()["metrics"]
-    for key in ("events_popped", "cores_parked", "park_cycles_skipped"):
+    for key in (
+        "events_popped", "cores_parked", "park_cycles_skipped", "park_timer_wakes"
+    ):
         assert metrics[key] == driver[key]
 
 
